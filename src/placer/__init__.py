@@ -17,7 +17,6 @@ from .evaluate import (
     decode_gdp,
     dp_cost,
     gdp_cost,
-    load_report,
 )
 from .gdp import Arc, View, ViewClass, ViewDag, lift_workload, make_view, parse_gdp, serialize_gdp
 from .generate import GenSpec, generate
@@ -41,7 +40,6 @@ from .partition import (
     export_graph,
     import_partition,
     parse_graph,
-    partition,
     recompute_cut,
 )
 from .pipeline import balance_sweep, plan_view_dag, plan_workload

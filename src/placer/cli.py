@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .common import INFINITE, DocumentError, PlacerError
-from .evaluate import CostReport, Placement, dp_cost, gdp_cost
+from .evaluate import CostReport, Placement, decode_dp, decode_gdp, dp_cost, gdp_cost
 from .gdp import ViewDag, parse_gdp
 from .generate import GenSpec, generate
 from .ip import build_dp_ip, build_gdp_ip, build_replication_ip, write_lp
@@ -33,6 +33,7 @@ from .reduction import build_dp_graph, build_gdp_graph, encode_big_m
 from .replication import ReplicationConfig, heuristic1, heuristic2, max_part_size
 from .workload import (
     Workload,
+    load_json_document,
     parse_workload,
     serialize_workload,
     validate_capacity_lower_bounds,
@@ -50,8 +51,6 @@ def _read_input(path: str) -> tuple[str, str]:
 
 
 def _load_instance(text: str) -> Workload | ViewDag:
-    from .workload import load_json_document
-
     probe = load_json_document(text)
     if "views" in probe:
         return parse_gdp(text)
@@ -73,20 +72,44 @@ def placement_to_document(p: Placement, server_ids: list[str]) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def placement_from_document(text: str, server_ids: list[str]) -> Placement:
-    doc = json.loads(text)
-    index = {sid: k for k, sid in enumerate(server_ids)}
+def placement_from_document(text: str, instance: Workload | ViewDag) -> Placement:
+    """Read a placement document for an instance.  Every table (every
+    view, on both sides) must be placed, each copy list must name
+    distinct servers of the instance, and each compute site one server."""
+    doc = load_json_document(text)
+    index = {s.id: k for k, s in enumerate(instance.servers)}
 
-    def to_index(sid: str) -> int:
-        if sid not in index:
+    def to_index(sid: object) -> int:
+        if not isinstance(sid, str) or sid not in index:
             raise DocumentError(f"placement references unknown server {sid!r}")
         return index[sid]
 
-    store = {
-        oid: tuple(sorted(to_index(sid) for sid in copies))
-        for oid, copies in doc.get("store", {}).items()
-    }
-    compute = {oid: to_index(sid) for oid, sid in doc.get("compute", {}).items()}
+    def section(key: str) -> dict:
+        entries = doc.get(key, {})
+        if not isinstance(entries, dict):
+            raise DocumentError(f"placement {key!r} must be an object")
+        return entries
+
+    store = {}
+    for oid, copies in section("store").items():
+        if not isinstance(copies, list) or not copies:
+            raise DocumentError(
+                f"copies of {oid!r} must be a nonempty list of server ids"
+            )
+        ks = tuple(sorted(to_index(sid) for sid in copies))
+        if len(set(ks)) != len(ks):
+            raise DocumentError(f"copies of {oid!r} name a server twice")
+        store[oid] = ks
+    compute = {oid: to_index(sid) for oid, sid in section("compute").items()}
+    if isinstance(instance, ViewDag):
+        ids = [v.id for v in instance.views]
+        needed = (("store", store, ids), ("compute", compute, ids))
+    else:
+        needed = (("store", store, [t.id for t in instance.tables]),)
+    for key, placed, ids in needed:
+        for oid in ids:
+            if oid not in placed:
+                raise DocumentError(f"placement {key!r} lacks {oid!r}")
     return Placement(store, compute)
 
 
@@ -185,7 +208,7 @@ def cmd_plan(args) -> int:
 
     # Self-consistency gate: the report must match a fresh evaluation of
     # the file we just wrote.
-    reread = placement_from_document(out_path.read_text(), server_ids)
+    reread = placement_from_document(out_path.read_text(), instance)
     if recompute(reread).total_cost != outcome.report.total_cost:
         print("error: emitted placement does not reproduce the reported cost",
               file=sys.stderr)
@@ -238,7 +261,7 @@ def cmd_cost(args) -> int:
     text, digest = _read_input(args.input)
     instance = _load_instance(text)
     server_ids = _server_ids(instance)
-    placement = placement_from_document(Path(args.placement).read_text(), server_ids)
+    placement = placement_from_document(Path(args.placement).read_text(), instance)
     if isinstance(instance, ViewDag):
         report = gdp_cost(placement, instance)
     else:
@@ -329,15 +352,11 @@ def cmd_import_partition(args) -> int:
         graph = build_gdp_graph(instance, with_load=args.load)
         graph = encode_big_m(graph)
         assignment = import_partition(part_text, graph)
-        from .evaluate import decode_gdp
-
         placement = decode_gdp(assignment, instance)
         report = gdp_cost(placement, instance)
     else:
         graph = build_dp_graph(instance, with_load=args.load)
         assignment = import_partition(part_text, graph)
-        from .evaluate import decode_dp
-
         placement = decode_dp(assignment, instance)
         report = dp_cost(placement, instance)
     out_path = Path(args.out) if args.out else Path(args.partition).with_suffix(

@@ -26,7 +26,7 @@ __all__ = [
     "decode_gdp",
     "dp_cost",
     "gdp_cost",
-    "load_report",
+    "storage_usage",
 ]
 
 
@@ -120,12 +120,28 @@ def decode_gdp(
     return Placement(store, compute)
 
 
-def _storage_usage(p: Placement, sizes: Mapping[str, int], l: int) -> list[int]:
+def storage_usage(p: Placement, sizes: Mapping[str, int], l: int) -> list[int]:
+    """Stored size per server, counting every replica."""
     usage = [0] * l
     for oid, size in sizes.items():
         for k in p.store.get(oid, ()):
             usage[k] += size
     return usage
+
+
+def _capacity_violations(servers, storage: list[int], load: list[int]) -> list[str]:
+    violations = []
+    for k, s in enumerate(servers):
+        if storage[k] > s.storage_capacity:
+            violations.append(
+                f"server {s.id!r}: storage {storage[k]} exceeds capacity "
+                f"{s.storage_capacity}"
+            )
+        if s.load_capacity is not None and load[k] > s.load_capacity:
+            violations.append(
+                f"server {s.id!r}: load {load[k]} exceeds capacity {s.load_capacity}"
+            )
+    return violations
 
 
 def dp_cost(p: Placement, w: Workload) -> CostReport:
@@ -148,18 +164,8 @@ def dp_cost(p: Placement, w: Workload) -> CostReport:
         per_query[q.id] = (site, cost)
         total += cost
         load[site] += q.frequency * q.exec_cost
-    storage = _storage_usage(p, {t.id: t.size for t in w.tables}, len(w.servers))
-    violations = []
-    for k, s in enumerate(w.servers):
-        if storage[k] > s.storage_capacity:
-            violations.append(
-                f"server {s.id!r}: storage {storage[k]} exceeds capacity "
-                f"{s.storage_capacity}"
-            )
-        if s.load_capacity is not None and load[k] > s.load_capacity:
-            violations.append(
-                f"server {s.id!r}: load {load[k]} exceeds capacity {s.load_capacity}"
-            )
+    storage = storage_usage(p, {t.id: t.size for t in w.tables}, len(w.servers))
+    violations = _capacity_violations(w.servers, storage, load)
     return CostReport(
         per_query=per_query,
         total_cost=total,
@@ -199,32 +205,11 @@ def gdp_cost(p: Placement, d: ViewDag) -> CostReport:
     load = [0] * len(d.servers)
     for v in d.views:
         load[p.compute[v.id]] += v.exec_cost
-    storage = _storage_usage(p, {v.id: v.size for v in d.views}, len(d.servers))
-    for k, s in enumerate(d.servers):
-        if storage[k] > s.storage_capacity:
-            violations.append(
-                f"server {s.id!r}: storage {storage[k]} exceeds capacity "
-                f"{s.storage_capacity}"
-            )
-        if s.load_capacity is not None and load[k] > s.load_capacity:
-            violations.append(
-                f"server {s.id!r}: load {load[k]} exceeds capacity {s.load_capacity}"
-            )
+    storage = storage_usage(p, {v.id: v.size for v in d.views}, len(d.servers))
+    violations.extend(_capacity_violations(d.servers, storage, load))
     return CostReport(
         per_query={vid: tuple(rec) for vid, rec in per_view.items()},
         total_cost=total,
         per_server=tuple(zip(storage, load)),
         violations=tuple(violations),
     )
-
-
-def load_report(p: Placement, w: Workload) -> tuple[tuple[int, int], ...]:
-    """Per-server (storage used, execution load) for a workload placement."""
-    storage = _storage_usage(p, {t.id: t.size for t in w.tables}, len(w.servers))
-    load = [0] * len(w.servers)
-    for q in w.queries:
-        site = p.compute.get(q.id)
-        if site is None:
-            site, _ = best_site(q, p, w)
-        load[site] += q.frequency * q.exec_cost
-    return tuple(zip(storage, load))

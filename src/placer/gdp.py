@@ -77,9 +77,6 @@ class ViewDag:
     arcs: tuple[Arc, ...]
     servers: tuple[Server, ...]
 
-    def view_by_id(self) -> dict[str, View]:
-        return {v.id: v for v in self.views}
-
 
 def make_view(
     vid: str,

@@ -14,9 +14,7 @@ given (graph, config) pair yields one reproducible result.
 from __future__ import annotations
 
 import heapq
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,13 +39,15 @@ __all__ = [
 # result kept.
 DEFAULT_SLACK_FACTORS = tuple(Fraction(i, 18) for i in range(10))
 
+# Refinement passes per level, and the node count at which coarsening stops.
+REFINEMENT_PASSES = 10
+COARSEN_FLOOR = 64
+
 
 @dataclass(frozen=True)
 class PartitionConfig:
     slack_factors: tuple[Fraction, ...] = DEFAULT_SLACK_FACTORS
     seeds: tuple[int, ...] = (0, 1, 2, 3)
-    refinement_passes: int = 10
-    coarsen_floor: int = 64
 
     def __post_init__(self) -> None:
         factors = tuple(Fraction(s) for s in self.slack_factors)
@@ -61,10 +61,6 @@ class PartitionConfig:
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         if not self.seeds:
             raise ValidationError("seeds must be nonempty")
-        if self.refinement_passes < 1:
-            raise ValidationError("refinement_passes must be positive")
-        if self.coarsen_floor < 1:
-            raise ValidationError("coarsen_floor must be positive")
 
 
 @dataclass(frozen=True)
@@ -165,11 +161,11 @@ def _coarsen_once(mesh: _Mesh, rng: random.Random) -> tuple[list[int], _Mesh]:
     return cmap, coarse
 
 
-def _coarsen(mesh: _Mesh, seed: int, floor: int) -> list[tuple[_Mesh, list[int] | None]]:
+def _coarsen(mesh: _Mesh, seed: int) -> list[tuple[_Mesh, list[int] | None]]:
     levels: list[tuple[_Mesh, list[int] | None]] = [(mesh, None)]
     rng = random.Random(seed)
     cur = mesh
-    while cur.n > floor:
+    while cur.n > COARSEN_FLOOR:
         cmap, coarse = _coarsen_once(cur, rng)
         if coarse.n >= cur.n:
             break
@@ -404,29 +400,27 @@ def _sequence_pass(mesh: _Mesh, part, loads, caps) -> bool:
     return best_gain > 0
 
 
-def _refine(mesh: _Mesh, part, loads, caps, passes: int) -> None:
+def _refine(mesh: _Mesh, part, loads, caps) -> None:
     """Move-based local search; never raises the cut while feasibility is
     unchanged (overload repair is the only cut-increasing step)."""
-    for _ in range(passes):
+    for _ in range(REFINEMENT_PASSES):
         repaired = _repair_overloads(mesh, part, loads, caps)
         improved = _sequence_pass(mesh, part, loads, caps)
         if not improved and not repaired:
             break
 
 
-def _run_candidate(
-    levels, caps_scaled, passes: int, seed: int
-) -> tuple[list[int], list[list[int]]]:
+def _run_candidate(levels, caps_scaled, seed: int) -> tuple[list[int], list[list[int]]]:
     rng = random.Random(seed)
     coarse = levels[-1][0]
     part = _initial_assign(coarse, caps_scaled, rng)
     loads = _loads_of(coarse, part, len(caps_scaled))
-    _refine(coarse, part, loads, caps_scaled, passes)
+    _refine(coarse, part, loads, caps_scaled)
     for li in range(len(levels) - 1, 0, -1):
         cmap = levels[li][1]
         fine = levels[li - 1][0]
         part = [part[cmap[u]] for u in range(fine.n)]
-        _refine(fine, part, loads, caps_scaled, passes)
+        _refine(fine, part, loads, caps_scaled)
     return part, loads
 
 
@@ -447,19 +441,14 @@ def _violations_of(loads, caps_raw):
     return tuple(out)
 
 
-def _sweep_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("PLACER_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def partition(g: PartGraph, cfg: PartitionConfig | None = None) -> PartitionResult:
     """Best assignment across the seed x slack sweep, deterministically.
 
-    Candidates that respect the true capacities win over violating ones;
-    within a feasibility class the lowest cut wins, then the smallest and
-    fewest violations, then the earliest (slack, seed) pair.
+    One sequential loop: each seed coarsens the graph once, then every
+    slack factor partitions that hierarchy.  Candidates that respect the
+    true capacities win over violating ones; within a feasibility class
+    the lowest cut wins, then the smallest and fewest violations, then
+    the earliest (slack, seed) pair.
     """
     cfg = cfg or PartitionConfig()
     l = len(g.part_capacities)
@@ -484,36 +473,21 @@ def partition(g: PartGraph, cfg: PartitionConfig | None = None) -> PartitionResu
             cfg.seeds[0],
         )
 
-    hierarchies = [ _coarsen(mesh, seed, cfg.coarsen_floor) for seed in cfg.seeds ]
-    jobs = [
-        (si, fi)
-        for si in range(len(cfg.seeds))
-        for fi in range(len(cfg.slack_factors))
-    ]
+    best = None
+    for si, seed in enumerate(cfg.seeds):
+        levels = _coarsen(mesh, seed)
+        for fi, slack in enumerate(cfg.slack_factors):
+            part, loads = _run_candidate(
+                levels, _scaled_caps(caps_raw, slack), seed * 8191 + fi
+            )
+            violations = _violations_of(loads, caps_raw)
+            excess = sum(v[2] for v in violations)
+            key = (1 if violations else 0, _cut_of(mesh, part), excess,
+                   len(violations), fi, si)
+            if best is None or key < best[0]:
+                best = (key, part, loads, violations)
 
-    def run(job):
-        si, fi = job
-        caps_scaled = _scaled_caps(caps_raw, cfg.slack_factors[fi])
-        part, loads = _run_candidate(
-            hierarchies[si], caps_scaled, cfg.refinement_passes,
-            cfg.seeds[si] * 8191 + fi,
-        )
-        cut = _cut_of(mesh, part)
-        violations = _violations_of(loads, caps_raw)
-        excess = sum(v[2] for v in violations)
-        key = (1 if violations else 0, cut, excess, len(violations), fi, si)
-        return key, part, loads, violations
-
-    workers = _sweep_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, jobs))
-    else:
-        outcomes = [run(job) for job in jobs]
-
-    best_i = min(range(len(outcomes)), key=lambda i: outcomes[i][0])
-    key, part, loads, violations = outcomes[best_i]
-    si, fi = jobs[best_i]
+    key, part, loads, violations = best
     assignment = PartitionAssignment({mesh.ids[u]: part[u] for u in range(mesh.n)})
     return PartitionResult(
         assignment=assignment,
@@ -521,8 +495,8 @@ def partition(g: PartGraph, cfg: PartitionConfig | None = None) -> PartitionResu
         per_part_loads=tuple(tuple(v) for v in loads),
         part_capacities=caps_raw,
         violations=violations,
-        slack=cfg.slack_factors[fi],
-        seed=cfg.seeds[si],
+        slack=cfg.slack_factors[key[4]],
+        seed=cfg.seeds[key[5]],
     )
 
 

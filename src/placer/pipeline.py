@@ -171,21 +171,20 @@ def balance_sweep(
     levels: dict[Fraction, BalanceLevel] = {}
     for ratio in sorted({Fraction(r) for r in ratios}, reverse=True):
         outcome = plan_workload(w, cfg, min_max_ratio=ratio)
-        loads = tuple(load for _, load in outcome.report.per_server)
-        storage_ok = not any(
-            v.startswith("server") and "storage" in v
-            for v in outcome.report.violations
+        per_server = outcome.report.per_server
+        own = (
+            outcome.report.total_cost,
+            tuple(load for _, load in per_server),
+            outcome.placement,
         )
-        if storage_ok:
-            pool.append((outcome.report.total_cost, loads, outcome.placement))
+        if all(st <= s.storage_capacity for (st, _), s in zip(per_server, w.servers)):
+            pool.append(own)
         cap = load_ratio_cap(total_load, l, ratio)
         eligible = [
             c for c in pool if cap is None or all(x <= cap for x in c[1])
         ]
-        if eligible:
-            cost, loads, placement = min(eligible, key=lambda c: c[0])
-            levels[ratio] = BalanceLevel(ratio, cap, cost, loads, True, placement)
-        else:
-            cost, loads, placement = min(pool, key=lambda c: c[0])
-            levels[ratio] = BalanceLevel(ratio, cap, cost, loads, False, placement)
+        # With no storage-respecting candidate yet, the level reports its
+        # own outcome.
+        cost, loads, placement = min(eligible or pool or [own], key=lambda c: c[0])
+        levels[ratio] = BalanceLevel(ratio, cap, cost, loads, bool(eligible), placement)
     return [levels[Fraction(r)] for r in ratios]

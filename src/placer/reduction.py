@@ -72,9 +72,6 @@ class PartGraph:
             return len(self.part_capacities[0])
         return 1
 
-    def node_index(self) -> dict[str, GraphNode]:
-        return {n.id: n for n in self.nodes}
-
     def has_infinite_edges(self) -> bool:
         return any(e.weight == INFINITE for e in self.edges)
 
@@ -104,6 +101,16 @@ def _edge(a: str, b: str, weight: int | float) -> GraphEdge:
     return GraphEdge(a, b, weight) if a < b else GraphEdge(b, a, weight)
 
 
+def _capacities(servers, with_load: bool) -> tuple[tuple[int | float, ...], ...]:
+    """One capacity vector per server: storage, plus load when asked."""
+    if not with_load:
+        return tuple((s.storage_capacity,) for s in servers)
+    return tuple(
+        (s.storage_capacity, INFINITE if s.load_capacity is None else s.load_capacity)
+        for s in servers
+    )
+
+
 def build_dp_graph(w: Workload, with_load: bool = False) -> PartGraph:
     """Bipartite query/table graph whose min-cut equals the optimal cost.
 
@@ -125,14 +132,7 @@ def build_dp_graph(w: Workload, with_load: bool = False) -> PartGraph:
             if weight == 0:
                 continue
             edges.append(_edge(query_node(q.id), table_node(r.table), weight))
-    caps = []
-    for s in w.servers:
-        if with_load:
-            load = INFINITE if s.load_capacity is None else s.load_capacity
-            caps.append((s.storage_capacity, load))
-        else:
-            caps.append((s.storage_capacity,))
-    return PartGraph(tuple(nodes), tuple(edges), tuple(caps))
+    return PartGraph(tuple(nodes), tuple(edges), _capacities(w.servers, with_load))
 
 
 def build_gdp_graph(d: ViewDag, with_load: bool = False) -> PartGraph:
@@ -157,14 +157,7 @@ def build_gdp_graph(d: ViewDag, with_load: bool = False) -> PartGraph:
         if a.cost == 0:
             continue
         edges.append(_edge(storage_node(a.producer), compute_node(a.consumer), a.cost))
-    caps = []
-    for s in d.servers:
-        if with_load:
-            load = INFINITE if s.load_capacity is None else s.load_capacity
-            caps.append((s.storage_capacity, load))
-        else:
-            caps.append((s.storage_capacity,))
-    return PartGraph(tuple(nodes), tuple(edges), tuple(caps))
+    return PartGraph(tuple(nodes), tuple(edges), _capacities(d.servers, with_load))
 
 
 def contract_infinite_edges(g: PartGraph) -> tuple[PartGraph, dict[str, str]]:

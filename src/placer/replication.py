@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .common import ValidationError
-from .evaluate import Placement, best_site
+from .evaluate import Placement, best_site, storage_usage
 from .partition import PartitionConfig
 from .pipeline import plan_workload
 from .workload import Server, Workload
@@ -141,10 +141,6 @@ def max_part_size(p: Placement, w: Workload, factor: int = 1) -> tuple[int, Frac
     """Largest per-server stored size, and the ideal r * total / l for
     comparison."""
     l = len(w.servers)
-    usage = [0] * l
-    sizes = {t.id: t.size for t in w.tables}
-    for tid, copies in p.store.items():
-        for k in copies:
-            usage[k] += sizes.get(tid, 0)
+    usage = storage_usage(p, {t.id: t.size for t in w.tables}, l)
     desired = Fraction(factor * w.total_size(), l) if l else Fraction(0)
     return (max(usage) if usage else 0, desired)

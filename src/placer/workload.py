@@ -69,9 +69,6 @@ class Workload:
     queries: tuple[Query, ...]
     servers: tuple[Server, ...]
 
-    def table_by_id(self) -> dict[str, Table]:
-        return {t.id: t for t in self.tables}
-
     def total_size(self) -> int:
         return sum(t.size for t in self.tables)
 

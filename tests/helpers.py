@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from math import erf, sqrt
 
 from placer.common import INFINITE
 from placer.gdp import Arc, ViewClass, ViewDag, make_view, validate_view_dag
@@ -183,3 +184,22 @@ def brute_force_partition_cut(g: PartGraph) -> int | None:
         if best is None or cut < best:
             best = cut
     return best
+
+
+def truncated_floor_normal_moments(
+    mean: float, stddev: float, upper: int = 4000
+) -> tuple[float, float]:
+    """Analytic mean and variance of floor(X) for X normal(mean, stddev)
+    truncated to X >= 1; the reference for distributional sanity checks."""
+
+    def cdf(x: float) -> float:
+        return 0.5 * (1.0 + erf((x - mean) / (stddev * sqrt(2.0))))
+
+    tail = 1.0 - cdf(1.0)
+    m1 = 0.0
+    m2 = 0.0
+    for k in range(1, upper + 1):
+        p = (cdf(k + 1.0) - cdf(k * 1.0)) / tail
+        m1 += k * p
+        m2 += k * k * p
+    return m1, m2 - m1 * m1

@@ -224,3 +224,48 @@ def test_parse_error_exit_code(capsys, tmp_path):
 def test_missing_file_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "plan", tmp_path / "absent.json")
     assert code == 1
+
+
+FIG2_STORE = {f"T{j}": ["S1"] for j in range(1, 7)}
+GDP_SIDES = {f"V{j}": "S1" for j in range(1, 8)}
+
+
+@pytest.mark.parametrize("instance, placement, message", [
+    ("fig2", "[]", "must be a JSON object"),
+    ("fig2", '"S1"', "must be a JSON object"),
+    ("fig2", "{nope", "syntax error"),
+    ("fig2", json.dumps({"store": [], "compute": {}}), "'store' must be an object"),
+    ("fig2", json.dumps({"store": FIG2_STORE, "compute": ["S1"]}),
+     "'compute' must be an object"),
+    ("fig2", json.dumps({"store": {**FIG2_STORE, "T1": "S1"}}), "copies of 'T1'"),
+    ("fig2", json.dumps({"store": {**FIG2_STORE, "T1": []}}), "copies of 'T1'"),
+    ("fig2", json.dumps({"store": {**FIG2_STORE, "T6": None}}), "copies of 'T6'"),
+    ("fig2", json.dumps({"store": {**FIG2_STORE, "T1": [1]}}), "unknown server 1"),
+    ("fig2", json.dumps({"store": {**FIG2_STORE, "T1": [["S1"]]}}),
+     "unknown server ['S1']"),
+    ("fig2", json.dumps({"store": {**FIG2_STORE, "T1": ["S1", "S1"]}}),
+     "name a server twice"),
+    ("fig2", json.dumps({"store": FIG2_STORE, "compute": {"Q1": ["S1"]}}),
+     "unknown server ['S1']"),
+    ("fig2", json.dumps({
+        "store": {k: v for k, v in FIG2_STORE.items() if k != "T1"},
+        "compute": {f"Q{i}": "S1" for i in range(1, 5)},
+    }), "'store' lacks 'T1'"),
+    ("gdp", json.dumps({
+        "store": {k: [v] for k, v in GDP_SIDES.items()},
+        "compute": {k: v for k, v in GDP_SIDES.items() if k != "V7"},
+    }), "'compute' lacks 'V7'"),
+    ("gdp", json.dumps({
+        "store": {k: [v] for k, v in GDP_SIDES.items() if k != "V1"},
+        "compute": GDP_SIDES,
+    }), "'store' lacks 'V1'"),
+])
+def test_cost_rejects_malformed_placement(capsys, tmp_path, fig2_file, gdp_file,
+                                          instance, placement, message):
+    path = tmp_path / "placement.json"
+    path.write_text(placement)
+    code, _, err = run(capsys, "cost", fig2_file if instance == "fig2" else gdp_file, path)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert "Traceback" not in err

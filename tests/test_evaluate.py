@@ -11,7 +11,6 @@ from placer.evaluate import (
     decode_gdp,
     dp_cost,
     gdp_cost,
-    load_report,
 )
 from placer.partition import recompute_cut
 from placer.reduction import (
@@ -229,7 +228,7 @@ def test_gdp_cost_infinite_violation(gdp_example):
 
 def test_load_report(fig2):
     placement = decode_dp(FIG2_PAPER_ASSIGNMENT, fig2)
-    report = load_report(placement, fig2)
+    report = dp_cost(placement, fig2).per_server
     # storage usage follows the paper partition
     assert [st for st, _ in report] == [4, 3, 3]
     # exec_cost defaults to summed ref costs: Q3 runs on S1, Q1 and Q4
@@ -245,7 +244,7 @@ def test_load_report_no_queries():
                      {"id": "S2", "storage_capacity": 2}],
     }))
     placement = Placement({"T1": (0,)}, {})
-    assert load_report(placement, w) == ((2, 0), (0, 0))
+    assert dp_cost(placement, w).per_server == ((2, 0), (0, 0))
 
 
 def test_load_report_accumulates():
@@ -259,7 +258,7 @@ def test_load_report_accumulates():
                      {"id": "S2", "storage_capacity": 1}],
     }))
     placement = Placement({"T1": (1,)}, {"Q1": 1, "Q2": 1})
-    assert load_report(placement, w)[1] == (1, 7)
+    assert dp_cost(placement, w).per_server[1] == (1, 7)
 
 
 def test_unplaced_table_raises(fig2):

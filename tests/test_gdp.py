@@ -20,7 +20,7 @@ from helpers import brute_force_gdp_cost, brute_force_placement_cost, random_wor
 def test_parse_worked_example(gdp_example):
     assert len(gdp_example.views) == 7
     assert len(gdp_example.arcs) == 9
-    by_id = gdp_example.view_by_id()
+    by_id = {v.id: v for v in gdp_example.views}
     assert by_id["V1"].size == 8 and by_id["V1"].transfer_cost == INFINITE
     assert by_id["V4"].size == 0 and by_id["V4"].transfer_cost == INFINITE
     assert by_id["V5"].transfer_cost == 10

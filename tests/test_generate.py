@@ -4,8 +4,10 @@ import statistics
 import pytest
 
 from placer.common import ValidationError
-from placer.generate import GenSpec, generate, truncated_floor_normal_moments
+from placer.generate import GenSpec, generate
 from placer.workload import validate_workload
+
+from helpers import truncated_floor_normal_moments
 
 
 def test_determinism():

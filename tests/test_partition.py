@@ -325,3 +325,14 @@ def test_balance_ratio():
 def test_capacity_fractions():
     g = PartGraph((node("a", 1),), (), ((3,), (1,)))
     assert capacity_fractions(g) == [(Fraction(3, 4),), (Fraction(1, 4),)]
+
+
+def test_partition_submodule_is_importable_as_module():
+    import importlib
+    import types
+
+    import placer.partition as bound
+
+    module = importlib.import_module("placer.partition")
+    assert isinstance(module, types.ModuleType)
+    assert bound is module

@@ -1,3 +1,4 @@
+import json
 import warnings
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ from placer.generate import GenSpec, generate
 from placer.oracle import optimal_gdp, optimal_placement
 from placer.partition import PartitionConfig
 from placer.pipeline import balance_sweep, load_ratio_cap, plan_view_dag, plan_workload
+from placer.workload import parse_workload
 
 FAST = PartitionConfig(seeds=(0, 1), slack_factors=(Fraction(0), Fraction(1, 4)))
 
@@ -94,3 +96,34 @@ def test_balance_sweep_tighter_ratio_helps_balance():
         busy = [x for x in loads if x]
         return min(busy) / max(busy) if busy else 0
     assert ratio(tight.loads) >= ratio(loose.loads)
+
+
+def test_balance_sweep_storage_check_ignores_server_names():
+    # A load violation on a server whose id contains "storage" is not a
+    # storage violation: the level keeps its storage-respecting plan.
+    w = parse_workload(json.dumps({
+        "tables": [{"id": "T1", "size": 1}],
+        "queries": [
+            {"id": "Q1", "exec_cost": 10, "refs": [{"table": "T1", "cost": 1}]},
+            {"id": "Q2", "exec_cost": 1, "refs": [{"table": "T1", "cost": 1}]},
+        ],
+        "servers": [{"id": "storage1", "storage_capacity": 10},
+                    {"id": "storage2", "storage_capacity": 10}],
+    }))
+    (level,) = balance_sweep(w, [Fraction(1)], FAST)
+    assert level.load_cap == 6
+    assert not level.feasible
+    assert sorted(level.loads) == [1, 10]
+
+
+def test_balance_sweep_without_storage_feasible_level():
+    # 598 units of tables on 4 x 144: every plan violates storage, so the
+    # level falls back to its own outcome instead of an empty pool.
+    w = generate(GenSpec(shape="tpcds", seed=1, n_servers=4, server_capacity=144))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        (level,) = balance_sweep(w, [Fraction(1, 2)], FAST)
+        outcome = plan_workload(w, FAST, min_max_ratio=Fraction(1, 2))
+    assert not level.feasible
+    assert level.cost == outcome.report.total_cost
+    assert level.placement == outcome.placement

@@ -247,10 +247,11 @@ def test_lift_then_gdp_graph_contracts_to_dp_graph(fig2):
         dp_weights[node.origins[0][0]] = node.weights
     for node in cg.nodes:
         assert node.weights == dp_weights[relabel[node.id]]
+    dp_nodes = {n.id: n for n in dp.nodes}
     dp_edges = {
         tuple(sorted((next(iter(u for u, _ in n.origins)) for n in (a, b)))): wgt
         for a, b, wgt in (
-            (dp.node_index()[e.u], dp.node_index()[e.v], e.weight) for e in dp.edges
+            (dp_nodes[e.u], dp_nodes[e.v], e.weight) for e in dp.edges
         )
     }
     cg_edges = {
