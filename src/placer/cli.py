@@ -29,7 +29,7 @@ from .partition import (
     import_partition,
 )
 from .pipeline import plan_view_dag, plan_workload
-from .reduction import build_dp_graph, build_gdp_graph, encode_big_m
+from .reduction import PartGraph, build_dp_graph, build_gdp_graph, encode_big_m
 from .replication import ReplicationConfig, heuristic1, heuristic2, max_part_size
 from .workload import (
     Workload,
@@ -44,10 +44,33 @@ EXIT_ERROR = 1
 EXIT_VIOLATIONS = 2
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 def _read_input(path: str) -> tuple[str, str]:
-    text = Path(path).read_text()
+    text = _read_text(path)
     digest = hashlib.sha256(text.encode()).hexdigest()
     return text, digest
+
+
+def _out_path(args, source: str, suffix: str) -> Path:
+    return Path(args.out) if args.out else Path(source).with_suffix(suffix)
+
+
+def _cost(p: Placement, instance: Workload | ViewDag) -> CostReport:
+    if isinstance(instance, ViewDag):
+        return gdp_cost(p, instance)
+    return dp_cost(p, instance)
+
+
+def _graph(instance: Workload | ViewDag, with_load: bool) -> PartGraph:
+    if isinstance(instance, ViewDag):
+        return build_gdp_graph(instance, with_load=with_load)
+    return build_dp_graph(instance, with_load=with_load)
 
 
 def _load_instance(text: str) -> Workload | ViewDag:
@@ -169,14 +192,34 @@ def render_report(
     return "\n".join(lines) + "\n"
 
 
+def _report(
+    args, title, digest, config_lines, report, server_ids, extra, timings=()
+) -> int:
+    """Print the report; exit code 2 exactly when it lists violations."""
+    sys.stdout.write(
+        render_report(title, digest, config_lines, report, server_ids, extra,
+                      timings, args.format)
+    )
+    return EXIT_VIOLATIONS if report.violations else EXIT_OK
+
+
+def _option_value(text: str, kind, option: str):
+    try:
+        return kind(text)
+    except (ValueError, ZeroDivisionError):
+        raise DocumentError(f"{option}: invalid value {text!r}") from None
+
+
 def _partition_config(args) -> PartitionConfig:
     kwargs = {}
-    if args.slacks:
-        kwargs["slack_factors"] = tuple(
-            sorted(Fraction(s) for s in args.slacks.split(","))
+    if args.slacks is not None:
+        kwargs["slack_factors"] = tuple(sorted(
+            _option_value(s, Fraction, "--slacks") for s in args.slacks.split(",")
+        ))
+    if args.seeds is not None:
+        kwargs["seeds"] = tuple(
+            _option_value(s, int, "--seeds") for s in args.seeds.split(",")
         )
-    if args.seeds:
-        kwargs["seeds"] = tuple(int(s) for s in args.seeds.split(","))
     return PartitionConfig(**kwargs)
 
 
@@ -184,7 +227,11 @@ def cmd_plan(args) -> int:
     text, digest = _read_input(args.input)
     instance = _load_instance(text)
     cfg = _partition_config(args)
-    ratio = Fraction(args.min_max_ratio) if args.min_max_ratio else None
+    ratio = None
+    if args.min_max_ratio is not None:
+        ratio = _option_value(args.min_max_ratio, Fraction, "--min-max-ratio")
+        if not 0 <= ratio <= 1:
+            raise DocumentError(f"--min-max-ratio must lie in [0, 1], got {ratio}")
     t0 = time.perf_counter()
     if isinstance(instance, ViewDag):
         if ratio is not None:
@@ -192,24 +239,20 @@ def cmd_plan(args) -> int:
         outcome = plan_view_dag(
             instance, cfg, with_load=args.load, pin_views=args.pin_views
         )
-        recompute = lambda p: gdp_cost(p, instance)
     else:
         for note in validate_capacity_lower_bounds(instance):
             print(f"note: {note}", file=sys.stderr)
         outcome = plan_workload(instance, cfg, with_load=args.load, min_max_ratio=ratio)
-        recompute = lambda p: dp_cost(p, instance)
     elapsed = time.perf_counter() - t0
 
     server_ids = _server_ids(instance)
-    out_path = Path(args.out) if args.out else Path(args.input).with_suffix(
-        ".placement.json"
-    )
+    out_path = _out_path(args, args.input, ".placement.json")
     out_path.write_text(placement_to_document(outcome.placement, server_ids))
 
     # Self-consistency gate: the report must match a fresh evaluation of
     # the file we just wrote.
-    reread = placement_from_document(out_path.read_text(), instance)
-    if recompute(reread).total_cost != outcome.report.total_cost:
+    reread = placement_from_document(_read_text(out_path), instance)
+    if _cost(reread, instance).total_cost != outcome.report.total_cost:
         print("error: emitted placement does not reproduce the reported cost",
               file=sys.stderr)
         return EXIT_ERROR
@@ -226,13 +269,8 @@ def cmd_plan(args) -> int:
     extra = [f"balance ratio: {ratios}"] if ratios else []
     extra.extend(f"warning: {wtext}" for wtext in outcome.warnings)
     timings = list(outcome.timings) + [("total", elapsed)]
-    sys.stdout.write(
-        render_report(
-            "plan", digest, config_lines, outcome.report, server_ids, extra,
-            timings, args.format,
-        )
-    )
-    return EXIT_VIOLATIONS if outcome.report.violations else EXIT_OK
+    return _report(args, "plan", digest, config_lines, outcome.report, server_ids,
+                   extra, timings)
 
 
 def cmd_oracle(args) -> int:
@@ -260,19 +298,9 @@ def cmd_oracle(args) -> int:
 def cmd_cost(args) -> int:
     text, digest = _read_input(args.input)
     instance = _load_instance(text)
-    server_ids = _server_ids(instance)
-    placement = placement_from_document(Path(args.placement).read_text(), instance)
-    if isinstance(instance, ViewDag):
-        report = gdp_cost(placement, instance)
-    else:
-        report = dp_cost(placement, instance)
-    sys.stdout.write(
-        render_report(
-            "cost", digest, [f"placement: {args.placement}"], report, server_ids,
-            [], [], args.format,
-        )
-    )
-    return EXIT_VIOLATIONS if report.violations else EXIT_OK
+    placement = placement_from_document(_read_text(args.placement), instance)
+    return _report(args, "cost", digest, [f"placement: {args.placement}"],
+                   _cost(placement, instance), _server_ids(instance), [])
 
 
 def cmd_replicate(args) -> int:
@@ -282,9 +310,7 @@ def cmd_replicate(args) -> int:
     placement = heuristic1(w, cfg) if args.heuristic == 1 else heuristic2(w, cfg)
     report = dp_cost(placement, w)
     server_ids = _server_ids(w)
-    out_path = Path(args.out) if args.out else Path(args.input).with_suffix(
-        ".placement.json"
-    )
+    out_path = _out_path(args, args.input, ".placement.json")
     out_path.write_text(placement_to_document(placement, server_ids))
     biggest, desired = max_part_size(placement, w, args.replication)
     extra = [
@@ -292,13 +318,8 @@ def cmd_replicate(args) -> int:
         f"rng seed: {args.seed}",
         f"placement: {out_path}",
     ]
-    sys.stdout.write(
-        render_report(
-            f"replicate h{args.heuristic} r={args.replication}", digest,
-            [], report, server_ids, extra, [], args.format,
-        )
-    )
-    return EXIT_VIOLATIONS if report.violations else EXIT_OK
+    return _report(args, f"replicate h{args.heuristic} r={args.replication}", digest,
+                   [], report, server_ids, extra)
 
 
 def cmd_gen(args) -> int:
@@ -322,15 +343,11 @@ def cmd_gen(args) -> int:
 
 def cmd_export_graph(args) -> int:
     text, digest = _read_input(args.input)
-    instance = _load_instance(text)
-    if isinstance(instance, ViewDag):
-        graph = build_gdp_graph(instance, with_load=args.load)
-    else:
-        graph = build_dp_graph(instance, with_load=args.load)
+    graph = _graph(_load_instance(text), args.load)
     if graph.has_infinite_edges():
         graph = encode_big_m(graph)
         print("note: infinite edges encoded as big-M for export", file=sys.stderr)
-    out_path = Path(args.out) if args.out else Path(args.input).with_suffix(".graph")
+    out_path = _out_path(args, args.input, ".graph")
     out_path.write_text(export_graph(graph))
     print(f"graph: {out_path}")
     fractions = capacity_fractions(graph)
@@ -347,30 +364,16 @@ def cmd_import_partition(args) -> int:
     text, digest = _read_input(args.input)
     instance = _load_instance(text)
     server_ids = _server_ids(instance)
-    part_text = Path(args.partition).read_text()
+    graph = _graph(instance, args.load)
+    assignment = import_partition(_read_text(args.partition), graph)
     if isinstance(instance, ViewDag):
-        graph = build_gdp_graph(instance, with_load=args.load)
-        graph = encode_big_m(graph)
-        assignment = import_partition(part_text, graph)
         placement = decode_gdp(assignment, instance)
-        report = gdp_cost(placement, instance)
     else:
-        graph = build_dp_graph(instance, with_load=args.load)
-        assignment = import_partition(part_text, graph)
         placement = decode_dp(assignment, instance)
-        report = dp_cost(placement, instance)
-    out_path = Path(args.out) if args.out else Path(args.partition).with_suffix(
-        ".placement.json"
-    )
+    out_path = _out_path(args, args.partition, ".placement.json")
     out_path.write_text(placement_to_document(placement, server_ids))
-    extra = [f"placement: {out_path}"]
-    sys.stdout.write(
-        render_report(
-            "import-partition", digest, [], report, server_ids, extra, [],
-            args.format,
-        )
-    )
-    return EXIT_VIOLATIONS if report.violations else EXIT_OK
+    return _report(args, "import-partition", digest, [], _cost(placement, instance),
+                   server_ids, [f"placement: {out_path}"])
 
 
 def cmd_export_ip(args) -> int:
@@ -388,15 +391,21 @@ def cmd_export_ip(args) -> int:
         if isinstance(instance, ViewDag):
             raise DocumentError("dp model needs a plain workload")
         model = build_dp_ip(instance)
-    out_path = Path(args.out) if args.out else Path(args.input).with_suffix(".lp")
+    out_path = _out_path(args, args.input, ".lp")
     out_path.write_text(write_lp(model))
     print(f"lp: {out_path}")
     print(f"input sha256: {digest}")
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # Usage errors exit 1 like every other error; 2 means violations.
+        raise PlacerError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="placer",
         description="Communication-aware placement planning via graph partitioning",
     )
@@ -471,14 +480,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except PlacerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (PlacerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -23,3 +23,11 @@ class DocumentError(PlacerError):
 
 class ValidationError(PlacerError):
     """An in-memory structure violates one of its contracts."""
+
+
+def parse_int(token: str, what: str) -> int:
+    """An integer field of a text document; DocumentError names the field."""
+    try:
+        return int(token)
+    except ValueError:
+        raise DocumentError(f"invalid {what} {token!r}") from None

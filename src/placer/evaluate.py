@@ -67,9 +67,7 @@ def best_site(query: Query, placement: Placement, w: Workload) -> tuple[int, int
     return best_k, best_cost
 
 
-def _node_part(assignment: PartitionAssignment, merge_map, node_id: str) -> int:
-    if merge_map:
-        node_id = merge_map.get(node_id, node_id)
+def _node_part(assignment: PartitionAssignment, node_id: str) -> int:
     try:
         return assignment.part_of[node_id]
     except KeyError:
@@ -79,7 +77,6 @@ def _node_part(assignment: PartitionAssignment, merge_map, node_id: str) -> int:
 def decode_dp(
     assignment: PartitionAssignment,
     w: Workload,
-    merge_map: Mapping[str, str] | None = None,
     resite: bool = True,
 ) -> Placement:
     """Tables go where their node landed; every query is then re-sited to
@@ -90,17 +87,12 @@ def decode_dp(
     cheapest server would silently undo the execution-capacity
     constraints the partitioner just honored.
     """
-    store = {
-        t.id: (_node_part(assignment, merge_map, table_node(t.id)),) for t in w.tables
-    }
+    store = {t.id: (_node_part(assignment, table_node(t.id)),) for t in w.tables}
     if resite:
         partial = Placement(store, {})
         compute = {q.id: best_site(q, partial, w)[0] for q in w.queries}
     else:
-        compute = {
-            q.id: _node_part(assignment, merge_map, query_node(q.id))
-            for q in w.queries
-        }
+        compute = {q.id: _node_part(assignment, query_node(q.id)) for q in w.queries}
     return Placement(store, compute)
 
 
@@ -110,13 +102,16 @@ def decode_gdp(
     merge_map: Mapping[str, str] | None = None,
 ) -> Placement:
     """Storage side from the plain nodes, computation side from the
-    doubled nodes; no re-siting (the cut already equals the cost)."""
-    store = {
-        v.id: (_node_part(assignment, merge_map, storage_node(v.id)),) for v in d.views
-    }
-    compute = {
-        v.id: _node_part(assignment, merge_map, compute_node(v.id)) for v in d.views
-    }
+    doubled nodes; no re-siting (the cut already equals the cost).
+    ``merge_map`` maps node ids to the super-nodes they were contracted
+    into."""
+    merged = merge_map or {}
+
+    def part(node_id: str) -> int:
+        return _node_part(assignment, merged.get(node_id, node_id))
+
+    store = {v.id: (part(storage_node(v.id)),) for v in d.views}
+    compute = {v.id: part(compute_node(v.id)) for v in d.views}
     return Placement(store, compute)
 
 

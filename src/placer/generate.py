@@ -1,8 +1,8 @@
 """Seeded workload generators: random scalability instances and a
 TPC-DS-shaped benchmark instance.
 
-Random shape: table sizes are floors of normal draws (mean 10, stddev 15
-by default) redrawn until at least 1; per-query table counts come from a
+Random shape: table sizes are floors of normal draws (mean 10, stddev 15)
+redrawn until at least 1; per-query table counts come from a
 second truncated normal (mean 5, stddev 3) clamped to the table count;
 referenced tables are drawn uniformly without replacement and each
 reference costs the full table size.
@@ -25,6 +25,9 @@ __all__ = ["GenSpec", "generate"]
 FACT_TABLES = 7
 DIMENSION_TABLES = 17
 BENCHMARK_QUERIES = 99
+# (mean, stddev) of the random shape's table sizes and per-query table counts.
+SIZE_DIST = (10.0, 15.0)
+REFS_DIST = (5.0, 3.0)
 
 
 @dataclass(frozen=True)
@@ -34,8 +37,6 @@ class GenSpec:
     n_queries: int = BENCHMARK_QUERIES
     n_servers: int = 4
     seed: int = 0
-    size_dist: tuple[float, float] = (10.0, 15.0)  # (mean, stddev)
-    refs_dist: tuple[float, float] = (5.0, 3.0)
     server_capacity: int | None = None  # None: computed from totals
 
     def __post_init__(self) -> None:
@@ -45,8 +46,6 @@ class GenSpec:
             raise ValidationError("need at least one table")
         if self.n_servers < 1:
             raise ValidationError("need at least one server")
-        if self.size_dist[1] <= 0 or self.refs_dist[1] <= 0:
-            raise ValidationError("distribution stddevs must be positive")
 
 
 def _draw_at_least_one(rng: Random, mean: float, stddev: float) -> int:
@@ -74,15 +73,13 @@ def _servers(spec: GenSpec, tables: list[Table]) -> list[Server]:
 
 def _generate_random(spec: GenSpec) -> Workload:
     rng = Random(spec.seed)
-    mean, stddev = spec.size_dist
     tables = [
-        Table(f"T{j}", _draw_at_least_one(rng, mean, stddev))
+        Table(f"T{j}", _draw_at_least_one(rng, *SIZE_DIST))
         for j in range(1, spec.n_tables + 1)
     ]
-    rmean, rstddev = spec.refs_dist
     queries = []
     for i in range(1, spec.n_queries + 1):
-        count = min(_draw_at_least_one(rng, rmean, rstddev), spec.n_tables)
+        count = min(_draw_at_least_one(rng, *REFS_DIST), spec.n_tables)
         picked = rng.sample(range(spec.n_tables), count)
         refs = tuple(
             QueryRef(tables[j].id, tables[j].size) for j in sorted(picked)

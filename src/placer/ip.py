@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .common import INFINITE, DocumentError, ValidationError
+from .common import INFINITE, DocumentError, ValidationError, parse_int
 from .gdp import ViewDag
 from .workload import Workload
 
@@ -86,6 +86,20 @@ class IpModel:
                     )
 
 
+def _one_of(name: str, row: list[str]) -> IpConstraint:
+    """Exactly one variable of the row is 1."""
+    return IpConstraint(name, tuple(IpTerm(1, v) for v in row), "=", 1)
+
+
+def _abs_diff(name: str, a: str, b: str, ind: str) -> tuple[IpConstraint, ...]:
+    """ind >= |a - b|, as the rows name_a (a - b - ind <= 0) and name_b
+    (b - a - ind <= 0)."""
+    return (
+        IpConstraint(f"{name}_a", (IpTerm(1, a), IpTerm(-1, b), IpTerm(-1, ind)), "<=", 0),
+        IpConstraint(f"{name}_b", (IpTerm(1, b), IpTerm(-1, a), IpTerm(-1, ind)), "<=", 0),
+    )
+
+
 def build_dp_ip(w: Workload) -> IpModel:
     """Placement IP: one binary per (query-or-table, server), assignment
     equalities, storage capacities, and per-reference co-location
@@ -107,15 +121,11 @@ def build_dp_ip(w: Workload) -> IpModel:
     for j, t in enumerate(w.tables, start=1):
         row = [x_t(j, k) for k in range(1, l + 1)]
         binaries.extend(row)
-        constraints.append(
-            IpConstraint(f"assign_T{j}", tuple(IpTerm(1, v) for v in row), "=", 1)
-        )
+        constraints.append(_one_of(f"assign_T{j}", row))
     for i, q in enumerate(w.queries, start=1):
         row = [x_q(i, k) for k in range(1, l + 1)]
         binaries.extend(row)
-        constraints.append(
-            IpConstraint(f"assign_Q{i}", tuple(IpTerm(1, v) for v in row), "=", 1)
-        )
+        constraints.append(_one_of(f"assign_Q{i}", row))
     for k, s in enumerate(w.servers, start=1):
         terms = tuple(
             IpTerm(t.size, x_t(t_index[t.id], k)) for t in w.tables if t.size > 0
@@ -131,22 +141,7 @@ def build_dp_ip(w: Workload) -> IpModel:
             if coef > 0:
                 objective.append(IpTerm(coef, lam))
             for k in range(1, l + 1):
-                constraints.append(
-                    IpConstraint(
-                        f"lam_Q{i}_T{j}_S{k}_a",
-                        (IpTerm(1, x_q(i, k)), IpTerm(-1, x_t(j, k)), IpTerm(-1, lam)),
-                        "<=",
-                        0,
-                    )
-                )
-                constraints.append(
-                    IpConstraint(
-                        f"lam_Q{i}_T{j}_S{k}_b",
-                        (IpTerm(1, x_t(j, k)), IpTerm(-1, x_q(i, k)), IpTerm(-1, lam)),
-                        "<=",
-                        0,
-                    )
-                )
+                constraints.extend(_abs_diff(f"{lam}_S{k}", x_q(i, k), x_t(j, k), lam))
     return IpModel(
         "min", tuple(objective), tuple(constraints), tuple(binaries), tuple(reals)
     )
@@ -176,18 +171,12 @@ def build_replication_ip(w: Workload, r: int) -> IpModel:
     for i, q in enumerate(w.queries, start=1):
         row = [y(i, k) for k in range(1, l + 1)]
         binaries.extend(row)
-        constraints.append(
-            IpConstraint(f"assign_Q{i}", tuple(IpTerm(1, v) for v in row), "=", 1)
-        )
+        constraints.append(_one_of(f"assign_Q{i}", row))
     for j, t in enumerate(w.tables, start=1):
         for h in range(1, r + 1):
             row = [x(h, j, k) for k in range(1, l + 1)]
             binaries.extend(row)
-            constraints.append(
-                IpConstraint(
-                    f"assign_T{j}_r{h}", tuple(IpTerm(1, v) for v in row), "=", 1
-                )
-            )
+            constraints.append(_one_of(f"assign_T{j}_r{h}", row))
         for k in range(1, l + 1):
             constraints.append(
                 IpConstraint(
@@ -252,12 +241,8 @@ def build_gdp_ip(d: ViewDag) -> IpModel:
         c_row = [xc(j, k) for k in range(1, l + 1)]
         binaries.extend(s_row)
         binaries.extend(c_row)
-        constraints.append(
-            IpConstraint(f"store_V{j}", tuple(IpTerm(1, v_) for v_ in s_row), "=", 1)
-        )
-        constraints.append(
-            IpConstraint(f"compute_V{j}", tuple(IpTerm(1, v_) for v_ in c_row), "=", 1)
-        )
+        constraints.append(_one_of(f"store_V{j}", s_row))
+        constraints.append(_one_of(f"compute_V{j}", c_row))
     for k, s in enumerate(d.servers, start=1):
         terms = tuple(
             IpTerm(v.size, xs(v_index[v.id], k)) for v in d.views if v.size > 0
@@ -271,22 +256,7 @@ def build_gdp_ip(d: ViewDag) -> IpModel:
         reals.append(cut)
         objective.append(IpTerm(a.cost, cut))
         for k in range(1, l + 1):
-            constraints.append(
-                IpConstraint(
-                    f"{cut}_S{k}_a",
-                    (IpTerm(1, xc(i, k)), IpTerm(-1, xs(j, k)), IpTerm(-1, cut)),
-                    "<=",
-                    0,
-                )
-            )
-            constraints.append(
-                IpConstraint(
-                    f"{cut}_S{k}_b",
-                    (IpTerm(1, xs(j, k)), IpTerm(-1, xc(i, k)), IpTerm(-1, cut)),
-                    "<=",
-                    0,
-                )
-            )
+            constraints.extend(_abs_diff(f"{cut}_S{k}", xc(i, k), xs(j, k), cut))
     for v in d.views:
         j = v_index[v.id]
         if v.transfer_cost == INFINITE:
@@ -304,22 +274,7 @@ def build_gdp_ip(d: ViewDag) -> IpModel:
             reals.append(mov)
             objective.append(IpTerm(int(v.transfer_cost), mov))
             for k in range(1, l + 1):
-                constraints.append(
-                    IpConstraint(
-                        f"{mov}_S{k}_a",
-                        (IpTerm(1, xs(j, k)), IpTerm(-1, xc(j, k)), IpTerm(-1, mov)),
-                        "<=",
-                        0,
-                    )
-                )
-                constraints.append(
-                    IpConstraint(
-                        f"{mov}_S{k}_b",
-                        (IpTerm(1, xc(j, k)), IpTerm(-1, xs(j, k)), IpTerm(-1, mov)),
-                        "<=",
-                        0,
-                    )
-                )
+                constraints.extend(_abs_diff(f"{mov}_S{k}", xs(j, k), xc(j, k), mov))
     return IpModel(
         "min", tuple(objective), tuple(constraints), tuple(binaries), tuple(reals)
     )
@@ -429,9 +384,8 @@ def read_lp(text: str) -> IpModel:
         if rel_pos is None or rel_pos != len(tokens) - 2:
             raise DocumentError(f"malformed constraint {name!r}")
         terms = _parse_terms(tokens[:rel_pos], f"constraint {name!r}")
-        constraints.append(
-            IpConstraint(name, terms, tokens[rel_pos], int(tokens[rel_pos + 1]))
-        )
+        rhs = parse_int(tokens[rel_pos + 1], f"right-hand side of {name!r}")
+        constraints.append(IpConstraint(name, terms, tokens[rel_pos], rhs))
         i += 1
     reals: list[str] = []
     binaries: list[str] = []

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .common import INFINITE, DocumentError, ValidationError
+from .common import INFINITE, DocumentError, ValidationError, parse_int
 from .reduction import GraphEdge, GraphNode, PartGraph, PartitionAssignment
 
 __all__ = [
@@ -75,41 +75,43 @@ class PartitionResult:
 
 
 class _Mesh:
-    """Integer-indexed view of a PartGraph; index order = sorted node ids."""
+    """Integer-indexed graph: node weights plus edges (u, v, weight) with
+    u < v; adj[u] lists (v, weight) sorted by v."""
 
-    __slots__ = ("n", "ncon", "ids", "weights", "adj", "edges")
+    __slots__ = ("n", "ncon", "weights", "adj", "edges")
 
-    def __init__(self, n, ncon, ids, weights, adj, edges):
-        self.n = n
+    def __init__(self, ncon, weights, edges):
+        self.n = len(weights)
         self.ncon = ncon
-        self.ids = ids
         self.weights = weights
-        self.adj = adj  # adj[u] = list of (v, weight), sorted by v
-        self.edges = edges  # list of (u, v, weight) with u < v
-
-    @classmethod
-    def from_part_graph(cls, g: PartGraph) -> "_Mesh":
-        order = sorted(g.nodes, key=lambda n: n.id)
-        index = {n.id: i for i, n in enumerate(order)}
-        ncon = g.ncon
-        weights = [n.weights for n in order]
-        adj: list[list[tuple[int, int]]] = [[] for _ in order]
-        edges = []
-        seen: set[tuple[int, int]] = set()
-        for e in g.edges:
-            u, v = index[e.u], index[e.v]
-            if u == v:
-                raise ValidationError(f"self-loop on node {e.u!r}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValidationError(f"parallel edge {e.u!r}-{e.v!r}")
-            seen.add(key)
-            edges.append((key[0], key[1], e.weight))
-            adj[u].append((v, e.weight))
-            adj[v].append((u, e.weight))
-        for lst in adj:
+        self.edges = edges
+        self.adj = [[] for _ in weights]
+        for u, v, w in edges:
+            self.adj[u].append((v, w))
+            self.adj[v].append((u, w))
+        for lst in self.adj:
             lst.sort()
-        return cls(len(order), ncon, [n.id for n in order], weights, adj, edges)
+
+
+def _mesh_of(g: PartGraph) -> tuple[list[str], _Mesh]:
+    """The node ids in index order, and the mesh of a PartGraph.  Index
+    order is sorted node id order, which is also the graph file's line
+    order."""
+    order = sorted(g.nodes, key=lambda n: n.id)
+    ids = [n.id for n in order]
+    index = {nid: i for i, nid in enumerate(ids)}
+    edges = []
+    seen: set[tuple[int, int]] = set()
+    for e in g.edges:
+        u, v = index[e.u], index[e.v]
+        if u == v:
+            raise ValidationError(f"self-loop on node {e.u!r}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise ValidationError(f"parallel edge {e.u!r}-{e.v!r}")
+        seen.add(key)
+        edges.append((*key, e.weight))
+    return ids, _Mesh(g.ncon, [n.weights for n in order], edges)
 
 
 def _coarsen_once(mesh: _Mesh, rng: random.Random) -> tuple[list[int], _Mesh]:
@@ -150,15 +152,7 @@ def _coarsen_once(mesh: _Mesh, rng: random.Random) -> tuple[list[int], _Mesh]:
         key = (cu, cv) if cu < cv else (cv, cu)
         acc[key] = acc.get(key, 0) + w
     edges = [(u, v, w) for (u, v), w in sorted(acc.items())]
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(nc)]
-    for u, v, w in edges:
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-    for lst in adj:
-        lst.sort()
-    coarse = _Mesh(nc, mesh.ncon, [str(i) for i in range(nc)],
-                   [tuple(w) for w in weights], adj, edges)
-    return cmap, coarse
+    return cmap, _Mesh(mesh.ncon, [tuple(w) for w in weights], edges)
 
 
 def _coarsen(mesh: _Mesh, seed: int) -> list[tuple[_Mesh, list[int] | None]]:
@@ -268,27 +262,47 @@ def _loads_of(mesh: _Mesh, part: list[int], l: int) -> list[list[int]]:
     return loads
 
 
+def _violations_of(loads, caps):
+    out = []
+    for k, vec in enumerate(caps):
+        for d, c in enumerate(vec):
+            if c != INFINITE and loads[k][d] > c:
+                out.append((k, d, loads[k][d] - c))
+    return tuple(out)
+
+
+def _move(mesh: _Mesh, part, loads, u: int, to: int) -> None:
+    wu, src, dst = mesh.weights[u], loads[part[u]], loads[to]
+    for d in range(mesh.ncon):
+        src[d] -= wu[d]
+        dst[d] += wu[d]
+    part[u] = to
+
+
+def _conn(mesh: _Mesh, part, u: int) -> dict[int, int]:
+    """Part -> summed weight of u's edges into that part."""
+    conn: dict[int, int] = {}
+    for v, w in mesh.adj[u]:
+        pv = part[v]
+        conn[pv] = conn.get(pv, 0) + w
+    return conn
+
+
 def _repair_overloads(mesh: _Mesh, part, loads, caps) -> bool:
-    """Move nodes out of overfull parts; may raise the cut to gain room."""
+    """Move nodes out of overfull parts; may raise the cut to gain room.
+    The part with the largest total excess goes first, the lowest index
+    on ties."""
     l = len(caps)
-    ncon = mesh.ncon
     changed = False
     while True:
-        worst_p, worst_excess = -1, 0
-        for k in range(l):
-            excess = 0
-            for d in range(ncon):
-                c = caps[k][d]
-                if c != INFINITE and loads[k][d] > c:
-                    excess += loads[k][d] - c
-            if excess > worst_excess:
-                worst_p, worst_excess = k, excess
-        if worst_p == -1:
+        violations = _violations_of(loads, caps)
+        if not violations:
             break
-        over_dims = [
-            d for d in range(ncon)
-            if caps[worst_p][d] != INFINITE and loads[worst_p][d] > caps[worst_p][d]
-        ]
+        excess = [0] * l
+        for k, _, x in violations:
+            excess[k] += x
+        worst_p = excess.index(max(excess))
+        over_dims = [d for k, d, _ in violations if k == worst_p]
         best = None  # (gain, -u, -q)
         best_u = best_q = -1
         for u in range(mesh.n):
@@ -297,9 +311,7 @@ def _repair_overloads(mesh: _Mesh, part, loads, caps) -> bool:
             wu = mesh.weights[u]
             if not any(wu[d] > 0 for d in over_dims):
                 continue
-            conn: dict[int, int] = {}
-            for v, w in mesh.adj[u]:
-                conn[part[v]] = conn.get(part[v], 0) + w
+            conn = _conn(mesh, part, u)
             base = conn.get(worst_p, 0)
             for q in range(l):
                 if q == worst_p or not _fits(loads[q], wu, caps[q]):
@@ -309,11 +321,7 @@ def _repair_overloads(mesh: _Mesh, part, loads, caps) -> bool:
                     best, best_u, best_q = key, u, q
         if best is None:
             break
-        wu = mesh.weights[best_u]
-        for d in range(ncon):
-            loads[worst_p][d] -= wu[d]
-            loads[best_q][d] += wu[d]
-        part[best_u] = best_q
+        _move(mesh, part, loads, best_u, best_q)
         changed = True
     return changed
 
@@ -331,7 +339,6 @@ def _sequence_pass(mesh: _Mesh, part, loads, caps) -> bool:
     best prefix, which keeps large levels cheap without hurting the
     short escape sequences that matter.
     """
-    ncon = mesh.ncon
     adj = mesh.adj
     n = mesh.n
     stall_limit = 64 + n // 8
@@ -339,22 +346,16 @@ def _sequence_pass(mesh: _Mesh, part, loads, caps) -> bool:
     gen = [0] * n
     heap: list[tuple[int, int, int, int]] = []
 
-    def gains_of(u: int) -> dict[int, int]:
-        conn: dict[int, int] = {}
-        for v, w in adj[u]:
-            pv = part[v]
-            conn[pv] = conn.get(pv, 0) + w
-        base = conn.pop(part[u], 0)
-        return {q: c - base for q, c in conn.items()}
-
     def push(u: int) -> None:
-        for q, gain in gains_of(u).items():
-            heapq.heappush(heap, (-gain, u, q, gen[u]))
+        conn = _conn(mesh, part, u)
+        base = conn.pop(part[u], 0)
+        for q, c in conn.items():
+            heapq.heappush(heap, (base - c, u, q, gen[u]))
 
     for u in range(n):
         if adj[u]:
             push(u)
-    trail: list[tuple[int, int, int]] = []  # (node, from, to)
+    trail: list[tuple[int, int]] = []  # (node, from)
     cum_gain = 0
     best_gain = 0
     best_len = 0
@@ -363,24 +364,20 @@ def _sequence_pass(mesh: _Mesh, part, loads, caps) -> bool:
         neg_gain, u, q, stamp = heapq.heappop(heap)
         if locked[u] or stamp != gen[u] or part[u] == q:
             continue
-        gain = gains_of(u).get(q)
-        if gain is None:
+        conn = _conn(mesh, part, u)
+        if q not in conn:
             continue
+        gain = conn[q] - conn.get(part[u], 0)
         if gain != -neg_gain:
             gen[u] += 1
             push(u)
             continue
-        wu = mesh.weights[u]
-        if not _fits(loads[q], wu, caps[q]):
+        if not _fits(loads[q], mesh.weights[u], caps[q]):
             continue
-        ku = part[u]
-        for d in range(ncon):
-            loads[ku][d] -= wu[d]
-            loads[q][d] += wu[d]
-        part[u] = q
+        trail.append((u, part[u]))
+        _move(mesh, part, loads, u, q)
         locked[u] = True
         cum_gain += gain
-        trail.append((u, ku, q))
         if cum_gain > best_gain:
             best_gain = cum_gain
             best_len = len(trail)
@@ -391,12 +388,8 @@ def _sequence_pass(mesh: _Mesh, part, loads, caps) -> bool:
             if not locked[v]:
                 gen[v] += 1
                 push(v)
-    for u, frm, to in reversed(trail[best_len:]):
-        wu = mesh.weights[u]
-        for d in range(ncon):
-            loads[to][d] -= wu[d]
-            loads[frm][d] += wu[d]
-        part[u] = frm
+    for u, frm in reversed(trail[best_len:]):
+        _move(mesh, part, loads, u, frm)
     return best_gain > 0
 
 
@@ -432,15 +425,6 @@ def _cut_of(mesh: _Mesh, part) -> int:
     return total
 
 
-def _violations_of(loads, caps_raw):
-    out = []
-    for k, vec in enumerate(caps_raw):
-        for d, c in enumerate(vec):
-            if c != INFINITE and loads[k][d] > c:
-                out.append((k, d, loads[k][d] - c))
-    return tuple(out)
-
-
 def partition(g: PartGraph, cfg: PartitionConfig | None = None) -> PartitionResult:
     """Best assignment across the seed x slack sweep, deterministically.
 
@@ -464,7 +448,7 @@ def partition(g: PartGraph, cfg: PartitionConfig | None = None) -> PartitionResu
     if g.has_infinite_edges():
         raise ValidationError("contract infinite edges before partitioning")
 
-    mesh = _Mesh.from_part_graph(g)
+    ids, mesh = _mesh_of(g)
     caps_raw = g.part_capacities
     if mesh.n == 0:
         return PartitionResult(
@@ -488,7 +472,7 @@ def partition(g: PartGraph, cfg: PartitionConfig | None = None) -> PartitionResu
                 best = (key, part, loads, violations)
 
     key, part, loads, violations = best
-    assignment = PartitionAssignment({mesh.ids[u]: part[u] for u in range(mesh.n)})
+    assignment = PartitionAssignment({ids[u]: part[u] for u in range(mesh.n)})
     return PartitionResult(
         assignment=assignment,
         cut_weight=key[1],
@@ -538,19 +522,12 @@ def export_graph(g: PartGraph) -> str:
     pairs, 1-based, ordered by node id)."""
     if g.has_infinite_edges():
         raise ValidationError("apply big-M encoding before exporting infinite edges")
-    order = sorted(g.nodes, key=lambda n: n.id)
-    index = {n.id: i + 1 for i, n in enumerate(order)}
-    ncon = g.ncon
-    adj: dict[int, list[tuple[int, int]]] = {i + 1: [] for i in range(len(order))}
-    for e in g.edges:
-        u, v = index[e.u], index[e.v]
-        adj[u].append((v, e.weight))
-        adj[v].append((u, e.weight))
-    lines = [f"{len(order)} {len(g.edges)} 011 {ncon}"]
-    for i, node in enumerate(order, start=1):
-        fields = [str(w) for w in node.weights]
-        for v, w in sorted(adj[i]):
-            fields.append(str(v))
+    _, mesh = _mesh_of(g)
+    lines = [f"{mesh.n} {len(mesh.edges)} 011 {mesh.ncon}"]
+    for u in range(mesh.n):
+        fields = [str(w) for w in mesh.weights[u]]
+        for v, w in mesh.adj[u]:
+            fields.append(str(v + 1))
             fields.append(str(w))
         lines.append(" ".join(fields))
     return "\n".join(lines) + "\n"
@@ -578,22 +555,19 @@ def capacity_fractions(g: PartGraph) -> list[tuple[Fraction, ...]]:
 
 def import_partition(text: str, g: PartGraph) -> PartitionAssignment:
     """Read one part index per line, node order matching export_graph."""
-    order = sorted(g.nodes, key=lambda n: n.id)
+    ids, _ = _mesh_of(g)
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if len(lines) != len(order):
+    if len(lines) != len(ids):
         raise DocumentError(
-            f"partition file has {len(lines)} entries for {len(order)} nodes"
+            f"partition file has {len(lines)} entries for {len(ids)} nodes"
         )
     l = len(g.part_capacities)
     part_of = {}
-    for node, line in zip(order, lines):
-        try:
-            p = int(line)
-        except ValueError:
-            raise DocumentError(f"invalid part index {line!r}") from None
+    for nid, line in zip(ids, lines):
+        p = parse_int(line, "part index")
         if not 0 <= p < l:
             raise DocumentError(f"part index {p} out of range for {l} parts")
-        part_of[node.id] = p
+        part_of[nid] = p
     return PartitionAssignment(part_of)
 
 
@@ -609,12 +583,11 @@ def parse_graph(text: str, part_capacities) -> PartGraph:
     header = lines[0].split()
     if len(header) not in (2, 3, 4):
         raise DocumentError(f"malformed graph header: {lines[0]!r}")
-    n, m = int(header[0]), int(header[1])
+    n, m = parse_int(header[0], "node count"), parse_int(header[1], "edge count")
     fmt = header[2] if len(header) > 2 else "000"
-    ncon = int(header[3]) if len(header) > 3 else (1 if fmt.endswith("10") else 0)
     if fmt not in ("011", "11"):
         raise DocumentError(f"unsupported graph format {fmt!r} (need node+edge weights)")
-    ncon = ncon or 1
+    ncon = (parse_int(header[3], "constraint count") if len(header) > 3 else 0) or 1
     if len(lines) - 1 != n:
         raise DocumentError(f"graph file has {len(lines) - 1} node lines for n={n}")
     width = len(str(n))
@@ -622,14 +595,16 @@ def parse_graph(text: str, part_capacities) -> PartGraph:
     nodes = []
     half_edges: dict[tuple[int, int], int] = {}
     for i, line in enumerate(lines[1:], start=1):
-        fields = line.split()
+        try:
+            fields = [int(x) for x in line.split()]
+        except ValueError:
+            raise DocumentError(f"non-integer field on node line {i}: {line!r}") from None
         if len(fields) < ncon or (len(fields) - ncon) % 2 != 0:
             raise DocumentError(f"malformed node line {i}: {line!r}")
-        weights = tuple(int(x) for x in fields[:ncon])
-        nodes.append(GraphNode(ids[i - 1], weights, ((ids[i - 1], "storage"),)))
+        nodes.append(GraphNode(ids[i - 1], tuple(fields[:ncon])))
         rest = fields[ncon:]
         for j in range(0, len(rest), 2):
-            v, w = int(rest[j]), int(rest[j + 1])
+            v, w = rest[j], rest[j + 1]
             if not 1 <= v <= n:
                 raise DocumentError(f"node line {i} references node {v} out of range")
             key = (min(i, v), max(i, v))

@@ -12,13 +12,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping
-
 from .common import INFINITE
 from .evaluate import CostReport, Placement, decode_dp, decode_gdp, dp_cost, gdp_cost
 from .gdp import ViewClass, ViewDag
 from .partition import PartitionConfig, PartitionResult, partition
-from .reduction import PartGraph, build_dp_graph, build_gdp_graph, contract_infinite_edges
+from .reduction import build_dp_graph, build_gdp_graph, contract_infinite_edges
 from .workload import Server, Workload
 
 __all__ = [
@@ -36,8 +34,6 @@ class PlanOutcome:
     placement: Placement
     report: CostReport
     partition: PartitionResult
-    graph: PartGraph
-    merge_map: Mapping[str, str]
     timings: tuple[tuple[str, float], ...]
     warnings: tuple[str, ...]
 
@@ -100,8 +96,6 @@ def plan_workload(
         placement=placement,
         report=report,
         partition=result,
-        graph=graph,
-        merge_map={},
         timings=tuple(timings),
         warnings=graph.warnings,
     )
@@ -140,8 +134,6 @@ def plan_view_dag(
         placement=placement,
         report=report,
         partition=result,
-        graph=contracted,
-        merge_map=merge_map,
         timings=tuple(timings),
         warnings=contracted.warnings,
     )

@@ -23,8 +23,6 @@ from .gdp import ViewDag
 from .workload import Workload
 
 __all__ = [
-    "STORAGE",
-    "COMPUTE",
     "GraphNode",
     "GraphEdge",
     "PartGraph",
@@ -39,15 +37,10 @@ __all__ = [
     "encode_big_m",
 ]
 
-STORAGE = "storage"
-COMPUTE = "compute"
-
-
 @dataclass(frozen=True)
 class GraphNode:
     id: str
     weights: tuple[int, ...]
-    origins: tuple[tuple[str, str], ...]  # (object id, STORAGE|COMPUTE)
 
 
 @dataclass(frozen=True)
@@ -121,10 +114,10 @@ def build_dp_graph(w: Workload, with_load: bool = False) -> PartGraph:
     nodes = []
     for t in w.tables:
         wv = (t.size, 0) if with_load else (t.size,)
-        nodes.append(GraphNode(table_node(t.id), wv, ((t.id, STORAGE),)))
+        nodes.append(GraphNode(table_node(t.id), wv))
     for q in w.queries:
         wv = (0, q.exec_cost * q.frequency) if with_load else (0,)
-        nodes.append(GraphNode(query_node(q.id), wv, ((q.id, COMPUTE),)))
+        nodes.append(GraphNode(query_node(q.id), wv))
     edges = []
     for q in w.queries:
         for r in q.refs:
@@ -144,10 +137,10 @@ def build_gdp_graph(d: ViewDag, with_load: bool = False) -> PartGraph:
     nodes = []
     for v in d.views:
         wv = (v.size, 0) if with_load else (v.size,)
-        nodes.append(GraphNode(storage_node(v.id), wv, ((v.id, STORAGE),)))
+        nodes.append(GraphNode(storage_node(v.id), wv))
     for v in d.views:
         wv = (0, v.exec_cost) if with_load else (0,)
-        nodes.append(GraphNode(compute_node(v.id), wv, ((v.id, COMPUTE),)))
+        nodes.append(GraphNode(compute_node(v.id), wv))
     edges = []
     for v in d.views:
         if v.transfer_cost == 0:
@@ -202,8 +195,7 @@ def contract_infinite_edges(g: PartGraph) -> tuple[PartGraph, dict[str, str]]:
         emitted.add(rid)
         members = groups[find(n.id)]
         weights = tuple(sum(m.weights[d] for m in members) for d in range(ncon))
-        origins = tuple(o for m in members for o in m.origins)
-        nodes.append(GraphNode(rid, weights, origins))
+        nodes.append(GraphNode(rid, weights))
         if len(members) > 1 and not any(
             all(weights[d] <= cap[d] for d in range(ncon))
             for cap in g.part_capacities

@@ -269,3 +269,47 @@ def test_cost_rejects_malformed_placement(capsys, tmp_path, fig2_file, gdp_file,
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["plan", "FIG2", "--slacks", "abc"], "--slacks: invalid value 'abc'"),
+    (["plan", "FIG2", "--slacks", "1/0"], "--slacks: invalid value '1/0'"),
+    (["plan", "FIG2", "--seeds", "x"], "--seeds: invalid value 'x'"),
+    (["plan", "FIG2", "--seeds", ","], "--seeds: invalid value ''"),
+    (["plan", "FIG2", "--min-max-ratio", "abc"], "--min-max-ratio: invalid value 'abc'"),
+    (["plan", "FIG2", "--min-max-ratio", "-1"], "must lie in [0, 1], got -1"),
+    (["plan", "FIG2", "--min-max-ratio", "2"], "must lie in [0, 1], got 2"),
+    (["plan", "FIG2", "--format", "xml"], "invalid choice: 'xml'"),
+    (["plan"], "the following arguments are required: input"),
+])
+def test_plan_rejects_bad_arguments(capsys, tmp_path, fig2_file, argv, message):
+    # Exit code 2 means capacity violations, so usage errors exit 1 too.
+    argv = [fig2_file if a == "FIG2" else a for a in argv]
+    code, out, err = run(capsys, *argv, "--out", tmp_path / "p.json")
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert out == ""
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["plan", "--help"])
+    assert exc.value.code == 0
+    assert "--min-max-ratio" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["plan", "cost", "import-partition"])
+def test_non_utf8_file_is_a_document_error(capsys, tmp_path, fig2_file, command):
+    binary = tmp_path / "binary.bin"
+    binary.write_bytes(b"\xff\xfe\x00{binary")
+    args = {
+        "plan": ["plan", binary, "--out", tmp_path / "p.json"],
+        "cost": ["cost", fig2_file, binary],
+        "import-partition": ["import-partition", fig2_file, binary,
+                             "--out", tmp_path / "p.json"],
+    }[command]
+    code, _, err = run(capsys, *args)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not UTF-8 text (byte 0)" in err

@@ -122,7 +122,7 @@ def test_gdp_oracle_equals_enumeration():
 
 
 def _node(nid, *weights):
-    return GraphNode(nid, tuple(weights), ((nid, "storage"),))
+    return GraphNode(nid, tuple(weights))
 
 
 def test_partition_oracle_path_graph():

@@ -27,7 +27,7 @@ from helpers import brute_force_partition_cut, random_workload
 
 
 def node(nid, *weights):
-    return GraphNode(nid, tuple(weights), ((nid, "storage"),))
+    return GraphNode(nid, tuple(weights))
 
 
 def test_default_config():
@@ -163,7 +163,7 @@ def test_refinement_passes_never_raise_cut():
     # A completed refinement pass keeps the best prefix of its move
     # sequence, so the cut is non-increasing while capacities stay
     # satisfied.
-    from placer.partition import _Mesh, _loads_of, _scaled_caps, _sequence_pass
+    from placer.partition import _loads_of, _mesh_of, _scaled_caps, _sequence_pass
 
     rng = random.Random(77)
     for _ in range(40):
@@ -178,7 +178,7 @@ def test_refinement_passes_never_raise_cut():
         total = sum(x.weights[0] for x in nodes)
         caps_raw = tuple((total,) for _ in range(l))
         g = PartGraph(nodes, tuple(edges), caps_raw)
-        mesh = _Mesh.from_part_graph(g)
+        _, mesh = _mesh_of(g)
         part = [rng.randrange(l) for _ in range(mesh.n)]
         loads = _loads_of(mesh, part, l)
         caps = _scaled_caps(caps_raw, Fraction(0))

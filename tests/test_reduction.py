@@ -164,7 +164,7 @@ def test_contract_identity_without_infinite_edges(fig2):
 
 def test_contract_chain():
     nodes = tuple(
-        GraphNode(f"n{i}", (i + 1,), ((f"n{i}", "storage"),)) for i in range(3)
+        GraphNode(f"n{i}", (i + 1,)) for i in range(3)
     )
     edges = (
         GraphEdge("n0", "n1", INFINITE),
@@ -179,7 +179,7 @@ def test_contract_chain():
 
 def test_contract_merges_parallel_finite_edges():
     nodes = tuple(
-        GraphNode(nid, (1,), ((nid, "storage"),)) for nid in ("a", "b", "c")
+        GraphNode(nid, (1,)) for nid in ("a", "b", "c")
     )
     edges = (
         GraphEdge("a", "b", INFINITE),
@@ -194,8 +194,8 @@ def test_contract_merges_parallel_finite_edges():
 
 def test_contract_warns_on_oversized_supernode():
     nodes = (
-        GraphNode("a", (3,), (("a", "storage"),)),
-        GraphNode("b", (3,), (("b", "storage"),)),
+        GraphNode("a", (3,)),
+        GraphNode("b", (3,)),
     )
     g = PartGraph(nodes, (GraphEdge("a", "b", INFINITE),), ((4,), (4,)))
     cg, _ = contract_infinite_edges(g)
@@ -207,7 +207,7 @@ def test_contract_preserves_finite_partition_cuts():
     for _ in range(50):
         n = rng.randint(2, 6)
         nodes = tuple(
-            GraphNode(f"n{i}", (rng.randint(0, 3),), ((f"n{i}", "storage"),))
+            GraphNode(f"n{i}", (rng.randint(0, 3),))
             for i in range(n)
         )
         edges = []
@@ -233,27 +233,20 @@ def test_lift_then_gdp_graph_contracts_to_dp_graph(fig2):
     cg, merge = contract_infinite_edges(lifted)
     assert len(cg.nodes) == len(dp.nodes)
 
-    # Map contracted node -> original object id via its origins.
-    def origin_ids(node):
-        return {ref for ref, _ in node.origins}
-
+    # Map contracted node -> original object id via the merge map; node
+    # ids are a two-letter side prefix ("s:", "c:", "t:", "q:") on the id.
+    members: dict[str, set[str]] = {}
+    for nid, rid in merge.items():
+        members.setdefault(rid, set()).add(nid[2:])
     relabel = {}
     for node in cg.nodes:
-        ids = origin_ids(node)
+        ids = members[node.id]
         assert len(ids) == 1
         relabel[node.id] = ids.pop()
-    dp_weights = {}
-    for node in dp.nodes:
-        dp_weights[node.origins[0][0]] = node.weights
+    dp_weights = {node.id[2:]: node.weights for node in dp.nodes}
     for node in cg.nodes:
         assert node.weights == dp_weights[relabel[node.id]]
-    dp_nodes = {n.id: n for n in dp.nodes}
-    dp_edges = {
-        tuple(sorted((next(iter(u for u, _ in n.origins)) for n in (a, b)))): wgt
-        for a, b, wgt in (
-            (dp_nodes[e.u], dp_nodes[e.v], e.weight) for e in dp.edges
-        )
-    }
+    dp_edges = {tuple(sorted((e.u[2:], e.v[2:]))): e.weight for e in dp.edges}
     cg_edges = {
         tuple(sorted((relabel[e.u], relabel[e.v]))): e.weight for e in cg.edges
     }
@@ -262,9 +255,9 @@ def test_lift_then_gdp_graph_contracts_to_dp_graph(fig2):
 
 def test_big_m_encoding():
     nodes = (
-        GraphNode("a", (1,), (("a", "storage"),)),
-        GraphNode("b", (1,), (("b", "storage"),)),
-        GraphNode("c", (1,), (("c", "storage"),)),
+        GraphNode("a", (1,)),
+        GraphNode("b", (1,)),
+        GraphNode("c", (1,)),
     )
     edges = (GraphEdge("a", "b", INFINITE), GraphEdge("b", "c", 5))
     g = PartGraph(nodes, edges, ((3,),))
