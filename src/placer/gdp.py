@@ -221,6 +221,13 @@ def validate_view_dag(d: ViewDag) -> None:
     if cycle is not None:
         raise DocumentError("cycle detected: " + " -> ".join(cycle))
 
+    # Placement documents name servers by id, so ids must be unique.
+    server_ids: set[str] = set()
+    for s in d.servers:
+        if s.id in server_ids:
+            raise DocumentError(f"duplicate server id: {s.id!r}")
+        server_ids.add(s.id)
+
     total = sum(v.size for v in d.views)
     total += sum(a.cost for a in d.arcs)
     total += sum(int(v.transfer_cost) for v in d.views if v.transfer_cost != INFINITE)

@@ -5,8 +5,10 @@ assignment by greedy weighted-bin growth over parts in descending
 capacity order, then refine with move-based local search at every level.
 Because exact feasibility is NP-hard the solver never fails on an
 overfull instance: it sweeps a set of capacity slack factors (and seeds)
-and returns the cheapest result that respects the true capacities,
-falling back to the least-violating one, with violations itemized.
+and returns the cheapest result that respects the true capacities.  When
+no candidate respects them it falls back to the violating candidate with
+the lowest cut (the smallest total excess only breaks cut ties), with
+violations itemized.
 
 Ties are always broken by lowest node id, then lowest part index, so a
 given (graph, config) pair yields one reproducible result.
@@ -271,24 +273,38 @@ def _violations_of(loads, caps):
     return tuple(out)
 
 
-def _move(mesh: _Mesh, part, loads, u: int, to: int) -> None:
-    wu, src, dst = mesh.weights[u], loads[part[u]], loads[to]
+def _connectivity(mesh: _Mesh, part, l: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Per node and part, the summed weight of the node's edges into that
+    part (conn) and the number of those edges (count)."""
+    conn = [[0] * l for _ in range(mesh.n)]
+    count = [[0] * l for _ in range(mesh.n)]
+    for u, nbrs in enumerate(mesh.adj):
+        cu, nu = conn[u], count[u]
+        for v, w in nbrs:
+            pv = part[v]
+            cu[pv] += w
+            nu[pv] += 1
+    return conn, count
+
+
+def _move(mesh: _Mesh, part, loads, conn, count, u: int, to: int) -> None:
+    """Move u to part `to`, keeping loads and every neighbour's conn and
+    count current."""
+    frm = part[u]
+    wu, src, dst = mesh.weights[u], loads[frm], loads[to]
     for d in range(mesh.ncon):
         src[d] -= wu[d]
         dst[d] += wu[d]
     part[u] = to
-
-
-def _conn(mesh: _Mesh, part, u: int) -> dict[int, int]:
-    """Part -> summed weight of u's edges into that part."""
-    conn: dict[int, int] = {}
     for v, w in mesh.adj[u]:
-        pv = part[v]
-        conn[pv] = conn.get(pv, 0) + w
-    return conn
+        cv, nv = conn[v], count[v]
+        cv[frm] -= w
+        cv[to] += w
+        nv[frm] -= 1
+        nv[to] += 1
 
 
-def _repair_overloads(mesh: _Mesh, part, loads, caps) -> bool:
+def _repair_overloads(mesh: _Mesh, part, loads, caps, conn, count) -> bool:
     """Move nodes out of overfull parts; may raise the cut to gain room.
     The part with the largest total excess goes first, the lowest index
     on ties."""
@@ -311,50 +327,57 @@ def _repair_overloads(mesh: _Mesh, part, loads, caps) -> bool:
             wu = mesh.weights[u]
             if not any(wu[d] > 0 for d in over_dims):
                 continue
-            conn = _conn(mesh, part, u)
-            base = conn.get(worst_p, 0)
+            cu = conn[u]
+            base = cu[worst_p]
             for q in range(l):
                 if q == worst_p or not _fits(loads[q], wu, caps[q]):
                     continue
-                key = (conn.get(q, 0) - base, -u, -q)
+                key = (cu[q] - base, -u, -q)
                 if best is None or key > best:
                     best, best_u, best_q = key, u, q
         if best is None:
             break
-        _move(mesh, part, loads, best_u, best_q)
+        _move(mesh, part, loads, conn, count, best_u, best_q)
         changed = True
     return changed
 
 
-def _sequence_pass(mesh: _Mesh, part, loads, caps) -> bool:
+def _sequence_pass(mesh: _Mesh, part, loads, caps, conn, count) -> bool:
     """One move-sequence pass: tentatively apply the best feasible move
     (even a worsening one), lock the node, and finally roll back to the
     best prefix seen.  Returns True when the kept prefix improves the
     cut.
 
     Candidate moves live in a lazily invalidated heap keyed by
-    (-gain, node, part), so equal gains pop the lowest node id first and
-    then the lowest part index; moves target only adjacent parts.  The
-    pass aborts once a long run of tentative moves fails to find a new
-    best prefix, which keeps large levels cheap without hurting the
-    short escape sequences that matter.
+    (-gain, node, part, generation), so equal gains pop the lowest node
+    id first and then the lowest part index; moves target only parts
+    that hold a neighbour.  Every move bumps the generation of each
+    unlocked neighbour and pushes its moves afresh, and a node only moves
+    when it is popped, after which it is locked.  So an entry whose
+    generation is current belongs to an unlocked node that has not moved
+    and whose neighbours have not moved since the push: its part, its
+    target part and its gain are still exact, and the pop needs no
+    re-check.  The pass aborts once a long run of tentative moves fails
+    to find a new best prefix, which keeps large levels cheap without
+    hurting the short escape sequences that matter.
     """
     adj = mesh.adj
     n = mesh.n
+    parts = range(len(caps))
     stall_limit = 64 + n // 8
     locked = [False] * n
     gen = [0] * n
     heap: list[tuple[int, int, int, int]] = []
 
     def push(u: int) -> None:
-        conn = _conn(mesh, part, u)
-        base = conn.pop(part[u], 0)
-        for q, c in conn.items():
-            heapq.heappush(heap, (base - c, u, q, gen[u]))
+        cu, nu, p, g = conn[u], count[u], part[u], gen[u]
+        base = cu[p]
+        for q in parts:
+            if nu[q] and q != p:
+                heapq.heappush(heap, (base - cu[q], u, q, g))
 
     for u in range(n):
-        if adj[u]:
-            push(u)
+        push(u)
     trail: list[tuple[int, int]] = []  # (node, from)
     cum_gain = 0
     best_gain = 0
@@ -362,22 +385,14 @@ def _sequence_pass(mesh: _Mesh, part, loads, caps) -> bool:
     stall = 0
     while heap and stall < stall_limit:
         neg_gain, u, q, stamp = heapq.heappop(heap)
-        if locked[u] or stamp != gen[u] or part[u] == q:
-            continue
-        conn = _conn(mesh, part, u)
-        if q not in conn:
-            continue
-        gain = conn[q] - conn.get(part[u], 0)
-        if gain != -neg_gain:
-            gen[u] += 1
-            push(u)
+        if locked[u] or stamp != gen[u]:
             continue
         if not _fits(loads[q], mesh.weights[u], caps[q]):
             continue
         trail.append((u, part[u]))
-        _move(mesh, part, loads, u, q)
+        _move(mesh, part, loads, conn, count, u, q)
         locked[u] = True
-        cum_gain += gain
+        cum_gain -= neg_gain
         if cum_gain > best_gain:
             best_gain = cum_gain
             best_len = len(trail)
@@ -389,16 +404,18 @@ def _sequence_pass(mesh: _Mesh, part, loads, caps) -> bool:
                 gen[v] += 1
                 push(v)
     for u, frm in reversed(trail[best_len:]):
-        _move(mesh, part, loads, u, frm)
+        _move(mesh, part, loads, conn, count, u, frm)
     return best_gain > 0
 
 
 def _refine(mesh: _Mesh, part, loads, caps) -> None:
     """Move-based local search; never raises the cut while feasibility is
-    unchanged (overload repair is the only cut-increasing step)."""
+    unchanged (overload repair is the only cut-increasing step).  The
+    part connectivity is built once here and kept current by _move."""
+    conn, count = _connectivity(mesh, part, len(caps))
     for _ in range(REFINEMENT_PASSES):
-        repaired = _repair_overloads(mesh, part, loads, caps)
-        improved = _sequence_pass(mesh, part, loads, caps)
+        repaired = _repair_overloads(mesh, part, loads, caps, conn, count)
+        improved = _sequence_pass(mesh, part, loads, caps, conn, count)
         if not improved and not repaired:
             break
 
@@ -432,7 +449,9 @@ def partition(g: PartGraph, cfg: PartitionConfig | None = None) -> PartitionResu
     slack factor partitions that hierarchy.  Candidates that respect the
     true capacities win over violating ones; within a feasibility class
     the lowest cut wins, then the smallest and fewest violations, then
-    the earliest (slack, seed) pair.
+    the earliest (slack, seed) pair.  So when every candidate violates a
+    capacity the result is the one with the lowest cut, which need not
+    be the least violating one.
     """
     cfg = cfg or PartitionConfig()
     l = len(g.part_capacities)

@@ -2,15 +2,19 @@
 
 The enumerators here evaluate the cost definitions directly from the
 domain data (no calls into the oracle or evaluation modules) so they can
-serve as the other side of equality checks.
+serve as the other side of equality checks.  The reference refinement
+recomputes each node's part connectivity from its adjacency list on
+every use, the plain form of what the partitioner keeps incrementally.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from math import erf, sqrt
 
 from placer.common import INFINITE
+from placer.partition import REFINEMENT_PASSES, _fits, _violations_of
 from placer.gdp import Arc, ViewClass, ViewDag, make_view, validate_view_dag
 from placer.reduction import PartGraph
 from placer.workload import Query, QueryRef, Server, Table, Workload
@@ -203,3 +207,122 @@ def truncated_floor_normal_moments(
         m1 += k * p
         m2 += k * k * p
     return m1, m2 - m1 * m1
+
+
+def reference_move(mesh, part, loads, u: int, to: int) -> None:
+    wu, src, dst = mesh.weights[u], loads[part[u]], loads[to]
+    for d in range(mesh.ncon):
+        src[d] -= wu[d]
+        dst[d] += wu[d]
+    part[u] = to
+
+
+def reference_conn(mesh, part, u: int) -> dict[int, int]:
+    """Part -> summed weight of u's edges into that part."""
+    conn: dict[int, int] = {}
+    for v, w in mesh.adj[u]:
+        pv = part[v]
+        conn[pv] = conn.get(pv, 0) + w
+    return conn
+
+
+def reference_repair_overloads(mesh, part, loads, caps) -> bool:
+    """Move nodes out of overfull parts, worst part first, best-gain move
+    first (lowest node, then lowest part, on ties)."""
+    l = len(caps)
+    changed = False
+    while True:
+        violations = _violations_of(loads, caps)
+        if not violations:
+            break
+        excess = [0] * l
+        for k, _, x in violations:
+            excess[k] += x
+        worst_p = excess.index(max(excess))
+        over_dims = [d for k, d, _ in violations if k == worst_p]
+        best = None  # (gain, -u, -q)
+        best_u = best_q = -1
+        for u in range(mesh.n):
+            if part[u] != worst_p:
+                continue
+            wu = mesh.weights[u]
+            if not any(wu[d] > 0 for d in over_dims):
+                continue
+            conn = reference_conn(mesh, part, u)
+            base = conn.get(worst_p, 0)
+            for q in range(l):
+                if q == worst_p or not _fits(loads[q], wu, caps[q]):
+                    continue
+                key = (conn.get(q, 0) - base, -u, -q)
+                if best is None or key > best:
+                    best, best_u, best_q = key, u, q
+        if best is None:
+            break
+        reference_move(mesh, part, loads, best_u, best_q)
+        changed = True
+    return changed
+
+
+def reference_sequence_pass(mesh, part, loads, caps) -> bool:
+    """One move-sequence pass that re-checks every popped move against
+    connectivity recomputed from scratch."""
+    adj = mesh.adj
+    n = mesh.n
+    stall_limit = 64 + n // 8
+    locked = [False] * n
+    gen = [0] * n
+    heap: list[tuple[int, int, int, int]] = []
+
+    def push(u: int) -> None:
+        conn = reference_conn(mesh, part, u)
+        base = conn.pop(part[u], 0)
+        for q, c in conn.items():
+            heapq.heappush(heap, (base - c, u, q, gen[u]))
+
+    for u in range(n):
+        if adj[u]:
+            push(u)
+    trail: list[tuple[int, int]] = []  # (node, from)
+    cum_gain = 0
+    best_gain = 0
+    best_len = 0
+    stall = 0
+    while heap and stall < stall_limit:
+        neg_gain, u, q, stamp = heapq.heappop(heap)
+        if locked[u] or stamp != gen[u] or part[u] == q:
+            continue
+        conn = reference_conn(mesh, part, u)
+        if q not in conn:
+            continue
+        gain = conn[q] - conn.get(part[u], 0)
+        if gain != -neg_gain:
+            gen[u] += 1
+            push(u)
+            continue
+        if not _fits(loads[q], mesh.weights[u], caps[q]):
+            continue
+        trail.append((u, part[u]))
+        reference_move(mesh, part, loads, u, q)
+        locked[u] = True
+        cum_gain += gain
+        if cum_gain > best_gain:
+            best_gain = cum_gain
+            best_len = len(trail)
+            stall = 0
+        else:
+            stall += 1
+        for v, _ in adj[u]:
+            if not locked[v]:
+                gen[v] += 1
+                push(v)
+    for u, frm in reversed(trail[best_len:]):
+        reference_move(mesh, part, loads, u, frm)
+    return best_gain > 0
+
+
+def reference_refine(mesh, part, loads, caps) -> None:
+    for _ in range(REFINEMENT_PASSES):
+        repaired = reference_repair_overloads(mesh, part, loads, caps)
+        improved = reference_sequence_pass(mesh, part, loads, caps)
+        if not improved and not repaired:
+            break

@@ -162,8 +162,15 @@ def test_quality_at_desk_scale():
 def test_refinement_passes_never_raise_cut():
     # A completed refinement pass keeps the best prefix of its move
     # sequence, so the cut is non-increasing while capacities stay
-    # satisfied.
-    from placer.partition import _loads_of, _mesh_of, _scaled_caps, _sequence_pass
+    # satisfied.  The pass also leaves the part connectivity it keeps
+    # equal to one rebuilt from scratch.
+    from placer.partition import (
+        _connectivity,
+        _loads_of,
+        _mesh_of,
+        _scaled_caps,
+        _sequence_pass,
+    )
 
     rng = random.Random(77)
     for _ in range(40):
@@ -182,15 +189,102 @@ def test_refinement_passes_never_raise_cut():
         part = [rng.randrange(l) for _ in range(mesh.n)]
         loads = _loads_of(mesh, part, l)
         caps = _scaled_caps(caps_raw, Fraction(0))
+        conn, count = _connectivity(mesh, part, l)
 
         def cut():
             return sum(w for u, v, w in mesh.edges if part[u] != part[v])
 
         for _ in range(4):
             before = cut()
-            _sequence_pass(mesh, part, loads, caps)
+            _sequence_pass(mesh, part, loads, caps, conn, count)
             assert cut() <= before
             assert loads == _loads_of(mesh, part, l)
+            assert (conn, count) == _connectivity(mesh, part, l)
+
+
+def _refinement_instance(rng):
+    """A random mesh, capacities and start for refinement: edges of
+    weight 0, isolated nodes, two constraints with unbounded components
+    and starts that overfill parts all occur."""
+    from placer.partition import _Mesh
+
+    n = rng.randint(1, 60)
+    l = rng.randint(1, 5)
+    ncon = rng.choice([1, 2])
+    weights = [tuple(rng.randint(0, 6) for _ in range(ncon)) for _ in range(n)]
+    linked = [u for u in range(n) if rng.random() < 0.85]
+    density = rng.uniform(0.05, 0.5)
+    edges = [
+        (u, v, 0 if rng.random() < 0.2 else rng.randint(1, 9))
+        for i, u in enumerate(linked)
+        for v in linked[i + 1:]
+        if rng.random() < density
+    ]
+    caps = []
+    for _ in range(l):
+        vec = []
+        for d in range(ncon):
+            total = sum(w[d] for w in weights)
+            if ncon == 2 and rng.random() < 0.4:
+                vec.append(INFINITE)
+            else:
+                vec.append(int(total / l * rng.uniform(0.7, 1.6)))
+        caps.append(tuple(vec))
+    crowd = rng.random() < 0.5  # most nodes start on part 0
+    part = [0 if crowd and rng.random() < 0.7 else rng.randrange(l) for _ in range(n)]
+    return _Mesh(ncon, weights, edges), part, caps
+
+
+def test_refinement_equals_dict_reference():
+    # The incremental connectivity must reproduce, step by step, the
+    # refinement that rebuilds every node's connectivity on each use.
+    from placer.partition import (
+        REFINEMENT_PASSES,
+        _connectivity,
+        _loads_of,
+        _refine,
+        _repair_overloads,
+        _sequence_pass,
+        _violations_of,
+    )
+
+    from helpers import (
+        reference_refine,
+        reference_repair_overloads,
+        reference_sequence_pass,
+    )
+
+    rng = random.Random(2024)
+    seen = dict(zero=0, isolated=0, infinite=0, overloaded=0, moved=0)
+    for _ in range(300):
+        mesh, start, caps = _refinement_instance(rng)
+        l = len(caps)
+        seen["zero"] += any(w == 0 for _, _, w in mesh.edges)
+        seen["isolated"] += any(not a for a in mesh.adj)
+        seen["infinite"] += any(INFINITE in vec for vec in caps)
+        seen["overloaded"] += bool(_violations_of(_loads_of(mesh, start, l), caps))
+
+        part, ref_part = list(start), list(start)
+        loads, ref_loads = _loads_of(mesh, part, l), _loads_of(mesh, part, l)
+        assert _refine(mesh, part, loads, caps) == reference_refine(
+            mesh, ref_part, ref_loads, caps)
+        assert part == ref_part and loads == ref_loads
+        seen["moved"] += part != start
+
+        part, ref_part = list(start), list(start)
+        loads, ref_loads = _loads_of(mesh, part, l), _loads_of(mesh, part, l)
+        conn, count = _connectivity(mesh, part, l)
+        for _ in range(REFINEMENT_PASSES):
+            repaired = _repair_overloads(mesh, part, loads, caps, conn, count)
+            assert repaired == reference_repair_overloads(mesh, ref_part, ref_loads, caps)
+            assert part == ref_part and loads == ref_loads
+            improved = _sequence_pass(mesh, part, loads, caps, conn, count)
+            assert improved == reference_sequence_pass(mesh, ref_part, ref_loads, caps)
+            assert part == ref_part and loads == ref_loads
+            assert (conn, count) == _connectivity(mesh, part, l)
+            if not improved and not repaired:
+                break
+    assert all(c >= 30 for c in seen.values()), seen
 
 
 def test_violations_reported_not_fatal():

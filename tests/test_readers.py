@@ -1,7 +1,10 @@
 """Malformed input of any kind ends in exit 1 with one line, never in a
 traceback: the text readers raise DocumentError, and the command line
 turns every PlacerError into exit code 1."""
+import io
+import json
 import re
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 
 from placer.cli import main
 from placer.common import DocumentError
+from placer.gdp import parse_gdp
 from placer.ip import read_lp
 from placer.partition import parse_graph
 
@@ -95,3 +99,130 @@ def test_graph_and_lp_readers_raise_only_document_errors(text):
             read(text)
         except DocumentError:
             pass
+
+
+VIEW_IDS = ["a", "b", "c", "d"]
+VIEW_CLASSES = ["base_table", "query", "materialized_view", "intermediate"]
+GDP_FAULTS = [None, None, None, "duplicate view", "duplicate server", "duplicate arc",
+              "unknown class", "negative size", "finite base table", "INF",
+              "undefined view", "query producer"]
+
+
+@st.composite
+def gdp_documents(draw):
+    """A GDP document of up to four views, often valid, else carrying
+    one fault; random arcs also make cycles and forbidden arcs."""
+    views = []
+    for vid in VIEW_IDS[:draw(st.integers(0, 4))]:
+        kind = draw(st.sampled_from(VIEW_CLASSES))
+        view = {"id": vid, "class": kind}
+        if kind in ("base_table", "materialized_view"):
+            view["size"] = draw(st.integers(0, 9))
+        if kind != "base_table" and draw(st.booleans()):
+            view["transfer_cost"] = draw(st.one_of(st.integers(0, 9), st.just("inf")))
+        views.append(view)
+    ids = [v["id"] for v in views]
+    consumers = [v["id"] for v in views if v["class"] != "base_table"]
+    producers = [v["id"] for v in views if v["class"] != "query"]
+    arcs = draw(st.lists(st.fixed_dictionaries(
+        {"consumer": st.sampled_from(consumers), "producer": st.sampled_from(producers),
+         "cost": st.integers(0, 9)},
+    ), max_size=4, unique_by=lambda a: (a["consumer"], a["producer"]))
+    ) if consumers and producers else []
+    servers = [{"id": f"S{k}", "storage_capacity": draw(st.integers(0, 20))}
+               for k in range(1, draw(st.integers(1, 3)) + 1)]
+    fault = draw(st.sampled_from(GDP_FAULTS))
+    if fault == "duplicate view" and views:
+        views.append(dict(views[0]))
+    elif fault == "duplicate server":
+        servers.append(dict(servers[0]))
+    elif fault == "unknown class" and views:
+        views[-1]["class"] = "table"
+    elif fault == "negative size":
+        views.append({"id": "e", "class": "materialized_view", "size": -1})
+    elif fault == "finite base table":
+        views.append({"id": "e", "class": "base_table", "size": 1, "transfer_cost": 3})
+    elif fault == "INF":
+        views.append({"id": "e", "class": "intermediate", "transfer_cost": "INF"})
+    elif fault == "duplicate arc" and arcs:
+        arcs.append(dict(arcs[0]))
+    elif fault == "undefined view" and views:
+        arcs.append({"consumer": ids[0], "producer": "z", "cost": 1})
+    elif fault == "query producer":
+        views.append({"id": "e", "class": "query"})
+        arcs.append({"consumer": "e", "producer": "e", "cost": 1})
+    return {"views": views, "arcs": arcs, "servers": servers}
+
+
+ONE_SERVER = [{"id": "S1", "storage_capacity": 20}]
+GDP_CYCLE = {
+    "views": [{"id": "a", "class": "intermediate", "transfer_cost": "inf"},
+              {"id": "b", "class": "intermediate"}],
+    "arcs": [{"consumer": "a", "producer": "b", "cost": 1},
+             {"consumer": "b", "producer": "a", "cost": 2}],
+    "servers": ONE_SERVER,
+}
+GDP_DUPLICATE_VIEW = {
+    "views": [{"id": "a", "class": "base_table", "size": 1},
+              {"id": "a", "class": "materialized_view", "size": 2}],
+    "arcs": [],
+    "servers": ONE_SERVER,
+}
+GDP_DUPLICATE_SERVER = {
+    "views": [{"id": "a", "class": "base_table", "size": 1}],
+    "arcs": [],
+    "servers": ONE_SERVER * 2,
+}
+GDP_VALID = {
+    "views": [{"id": "a", "class": "base_table", "size": 3},
+              {"id": "b", "class": "intermediate", "transfer_cost": "inf"},
+              {"id": "c", "class": "query"}],
+    "arcs": [{"consumer": "b", "producer": "a", "cost": 4},
+             {"consumer": "c", "producer": "b", "cost": 5}],
+    "servers": ONE_SERVER + [{"id": "S2", "storage_capacity": 2}],
+}
+
+
+def run_cli(*argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("doc, message", [
+    (GDP_CYCLE, "error: cycle detected: a -> b -> a"),
+    (GDP_DUPLICATE_VIEW, "error: duplicate view id: 'a'"),
+    (GDP_DUPLICATE_SERVER, "error: duplicate server id: 'S1'"),
+])
+def test_gdp_document_errors_name_the_fault(fig2_path, doc, message):
+    path = fig2_path.with_name("faulty.gdp.json")
+    path.write_text(json.dumps(doc))
+    for argv in (["plan", path, "--out", path.with_name("out.placement.json")],
+                 ["oracle", path]):
+        assert run_cli(*argv) == (1, message + "\n")
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=gdp_documents())
+@example(doc=GDP_VALID)
+def test_gdp_documents_plan_or_exit_one_line(fig2_path, doc):
+    # A document parse_gdp rejects makes plan and oracle exit 1 with one
+    # error line; any other document plans (exit 0 or 2) and solves.
+    path = fig2_path.with_name("fuzzed.gdp.json")
+    path.write_text(json.dumps(doc))
+    try:
+        parse_gdp(path.read_text())
+        valid = True
+    except DocumentError:
+        valid = False
+    plan = run_cli("plan", path, "--out", path.with_name("out.placement.json"))
+    oracle = run_cli("oracle", path)
+    if valid:
+        assert plan[0] in (0, 2) and plan[1] == ""
+        assert oracle == (0, "")
+    else:
+        for code, err in (plan, oracle):
+            assert code == 1
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "Traceback" not in err
