@@ -28,7 +28,6 @@ from .ip import (
     build_gdp_ip,
     build_replication_ip,
     read_lp,
-    solve_ip_by_enumeration,
     write_lp,
 )
 from .oracle import OracleLimit, OracleResult, optimal_gdp, optimal_partition, optimal_placement

@@ -42,8 +42,10 @@ class GenSpec:
     def __post_init__(self) -> None:
         if self.shape not in ("random", "tpcds"):
             raise ValidationError(f"unknown shape {self.shape!r}")
-        if self.shape == "random" and (self.n_tables < 1 or self.n_queries < 0):
+        if self.shape == "random" and self.n_tables < 1:
             raise ValidationError("need at least one table")
+        if self.shape == "random" and self.n_queries < 0:
+            raise ValidationError(f"query count must not be negative, got {self.n_queries}")
         if self.n_servers < 1:
             raise ValidationError("need at least one server")
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .common import INFINITE, DocumentError, ValidationError, parse_int
 from .gdp import ViewDag
@@ -32,7 +31,6 @@ __all__ = [
     "build_gdp_ip",
     "write_lp",
     "read_lp",
-    "solve_ip_by_enumeration",
 ]
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]{0,254}$")
@@ -358,7 +356,6 @@ def read_lp(text: str) -> IpModel:
     else:
         raise DocumentError(f"expected Minimize/Maximize, got {lines[0]!r}")
     i = 1
-    objective: tuple[IpTerm, ...] = ()
     obj_tokens: list[str] = []
     while i < len(lines) and lines[i].lower() != "subject to":
         body = lines[i]
@@ -419,121 +416,3 @@ def read_lp(text: str) -> IpModel:
             raise DocumentError(f"unexpected section {lines[i]!r}")
     return IpModel(sense, objective, tuple(constraints), tuple(binaries), tuple(reals))
 
-
-def solve_ip_by_enumeration(
-    m: IpModel, max_choices: int = 2_000_000
-) -> tuple[Fraction, dict[str, Fraction]] | None:
-    """Optimum by exhaustive enumeration of feasible binary assignments.
-
-    Assignment-style equalities (all-ones, rhs 1, binary-only) shrink the
-    enumeration to one choice per group; every remaining binary doubles
-    it.  Each [0,1] real must appear in constraints only alongside
-    binaries, so given the binaries its bounds are explicit and the
-    objective direction fixes its value.  Returns None when no feasible
-    assignment exists.  Independent of the oracle module by construction.
-    """
-    bin_set = set(m.binaries)
-    real_set = set(m.bounded_reals)
-    groups: list[list[str]] = []
-    grouped: set[str] = set()
-    for c in m.constraints:
-        if (
-            c.relation == "="
-            and c.rhs == 1
-            and c.terms
-            and all(t.coef == 1 and t.var in bin_set for t in c.terms)
-            and not any(t.var in grouped for t in c.terms)
-        ):
-            groups.append([t.var for t in c.terms])
-            grouped.update(t.var for t in c.terms)
-    free = [b for b in m.binaries if b not in grouped]
-
-    total_choices = 2 ** len(free)
-    for g in groups:
-        total_choices *= len(g)
-    if total_choices > max_choices:
-        raise ValidationError(
-            f"enumeration would need {total_choices} assignments (> {max_choices})"
-        )
-
-    # Split constraints into binary-only checks and per-real bound sources.
-    binary_constraints = []
-    real_constraints: dict[str, list[tuple[IpConstraint, int]]] = {v: [] for v in real_set}
-    for c in m.constraints:
-        real_terms = [t for t in c.terms if t.var in real_set]
-        if not real_terms:
-            binary_constraints.append(c)
-        elif len(real_terms) == 1 and real_terms[0].coef != 0:
-            real_constraints[real_terms[0].var].append((c, real_terms[0].coef))
-        else:
-            raise ValidationError(
-                f"constraint {c.name!r} couples several bounded reals"
-            )
-    obj_coef: dict[str, int] = {}
-    for t in m.objective:
-        obj_coef[t.var] = obj_coef.get(t.var, 0) + t.coef
-
-    best: tuple[Fraction, dict[str, Fraction]] | None = None
-    sense_min = m.sense == "min"
-    group_choices = [range(len(g)) for g in groups]
-    for picks in itertools.product(*group_choices):
-        base = {}
-        for g, pick in zip(groups, picks):
-            for idx, var in enumerate(g):
-                base[var] = 1 if idx == pick else 0
-        for bits in itertools.product((0, 1), repeat=len(free)):
-            value = dict(base)
-            value.update(zip(free, bits))
-            ok = True
-            for c in binary_constraints:
-                lhs = sum(t.coef * value[t.var] for t in c.terms)
-                if c.relation == "<=" and lhs > c.rhs:
-                    ok = False
-                elif c.relation == ">=" and lhs < c.rhs:
-                    ok = False
-                elif c.relation == "=" and lhs != c.rhs:
-                    ok = False
-                if not ok:
-                    break
-            if not ok:
-                continue
-            assignment: dict[str, Fraction] = {
-                v: Fraction(x) for v, x in value.items()
-            }
-            for var in m.bounded_reals:
-                lo, hi = Fraction(0), Fraction(1)
-                for c, coef in real_constraints[var]:
-                    residual = c.rhs - sum(
-                        t.coef * value[t.var] for t in c.terms if t.var != var
-                    )
-                    bound = Fraction(residual, coef)
-                    if c.relation == "=":
-                        lo = max(lo, bound)
-                        hi = min(hi, bound)
-                    elif (c.relation == "<=") == (coef > 0):
-                        hi = min(hi, bound)
-                    else:
-                        lo = max(lo, bound)
-                if lo > hi:
-                    ok = False
-                    break
-                coef = obj_coef.get(var, 0)
-                if coef == 0:
-                    assignment[var] = lo
-                elif (coef > 0) == sense_min:
-                    assignment[var] = lo
-                else:
-                    assignment[var] = hi
-            if not ok:
-                continue
-            objective = sum(
-                (Fraction(t.coef) * assignment[t.var] for t in m.objective),
-                Fraction(0),
-            )
-            if best is None:
-                best = (objective, assignment)
-            elif sense_min and objective < best[0]:
-                best = (objective, assignment)
-            elif not sense_min and objective > best[0]:
-                best = (objective, assignment)
-    return best

@@ -5,6 +5,9 @@ domain data (no calls into the oracle or evaluation modules) so they can
 serve as the other side of equality checks.  The reference refinement
 recomputes each node's part connectivity from its adjacency list on
 every use, the plain form of what the partitioner keeps incrementally.
+`solve_ip` is the independent reference for the integer programs: it
+hands a model to scipy's HiGHS MILP solver, which shares no code with
+the oracle module.
 """
 from __future__ import annotations
 
@@ -13,9 +16,14 @@ import itertools
 import random
 from math import erf, sqrt
 
+import numpy as np
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import lil_array
+
 from placer.common import INFINITE
 from placer.partition import REFINEMENT_PASSES, _fits, _violations_of
 from placer.gdp import Arc, ViewClass, ViewDag, make_view, validate_view_dag
+from placer.ip import IpModel
 from placer.reduction import PartGraph
 from placer.workload import Query, QueryRef, Server, Table, Workload
 
@@ -46,6 +54,35 @@ def random_workload(
         Server(f"S{k}", base + rng.randint(0, headroom)) for k in range(1, l + 1)
     ]
     return Workload(tuple(tables), tuple(queries), tuple(servers))
+
+
+def solve_ip(m: IpModel) -> tuple[int, dict[str, float]] | None:
+    """Proven optimum of an integer program by HiGHS (scipy's milp, zero
+    gap): (objective, {var: value}) with binaries as ints, or None when
+    infeasible.  Any other outcome, a limit included, fails loudly."""
+    names = m.binaries + m.bounded_reals
+    col = {v: i for i, v in enumerate(names)}
+    c = np.zeros(len(names))
+    for t in m.objective:
+        c[col[t.var]] += t.coef
+    a = lil_array((len(m.constraints), len(names)))
+    for r, con in enumerate(m.constraints):
+        for t in con.terms:
+            a[r, col[t.var]] += t.coef
+    lo = [-np.inf if con.relation == "<=" else con.rhs for con in m.constraints]
+    hi = [np.inf if con.relation == ">=" else con.rhs for con in m.constraints]
+    sign = -1 if m.sense == "max" else 1
+    res = milp(sign * c, integrality=[1] * len(m.binaries) + [0] * len(m.bounded_reals),
+               bounds=Bounds(0, 1), constraints=LinearConstraint(a.tocsr(), lo, hi),
+               options={"mip_rel_gap": 0})
+    if res.status == 2:
+        return None
+    assert res.status == 0, f"HiGHS status {res.status}: {res.message}"
+    objective = sign * res.fun
+    assert abs(objective - round(objective)) < 1e-6, objective
+    values = {v: round(x) if i < len(m.binaries) else float(x)
+              for i, (v, x) in enumerate(zip(names, res.x))}
+    return round(objective), values
 
 
 def random_view_dag(

@@ -12,7 +12,6 @@ from placer.ip import (
     build_dp_ip,
     build_replication_ip,
     read_lp,
-    solve_ip_by_enumeration,
     write_lp,
 )
 from placer.oracle import optimal_gdp, optimal_partition, optimal_placement
@@ -28,7 +27,7 @@ from placer.replication import ReplicationConfig, heuristic1, heuristic2
 from placer.workload import parse_workload, serialize_workload
 
 from conftest import FIG2_DOC, GDP_EXAMPLE_DOC, GDP_EXAMPLE_PARTS
-from helpers import random_view_dag, random_workload
+from helpers import random_view_dag, random_workload, solve_ip
 
 SUITE1_SEED = 20260809
 SUITE2_SEED = 77
@@ -160,12 +159,12 @@ def test_criterion_6_ip_equivalence():
     for _ in range(50):
         w = random_workload(rng, max_tables=4, max_queries=3, max_servers=2)
         oracle = optimal_placement(w)
-        dp_best = solve_ip_by_enumeration(build_dp_ip(w))
+        dp_best = solve_ip(read_lp(write_lp(build_dp_ip(w))))
         if (dp_best is None) != (not oracle.feasible):
             mismatches += 1
         elif oracle.feasible and dp_best[0] != oracle.cost:
             mismatches += 1
-        repl_best = solve_ip_by_enumeration(build_replication_ip(w, 1))
+        repl_best = solve_ip(read_lp(write_lp(build_replication_ip(w, 1))))
         if oracle.feasible:
             gross = sum(
                 q.frequency * sum(r.cost for r in q.refs) for q in w.queries

@@ -135,6 +135,17 @@ def test_gen_deterministic(capsys, tmp_path):
     assert a.read_text() == b.read_text()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--queries", "-1"), "query count"),
+    (("--tables", "0"), "at least one table"),
+])
+def test_gen_rejects_bad_counts(capsys, argv, message):
+    code, out, err = run(capsys, "gen", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_export_graph(capsys, tmp_path, fig2_file):
     out_path = tmp_path / "fig2.graph"
     code, out, _ = run(capsys, "export-graph", fig2_file, "--out", out_path)

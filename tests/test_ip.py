@@ -13,13 +13,12 @@ from placer.ip import (
     build_gdp_ip,
     build_replication_ip,
     read_lp,
-    solve_ip_by_enumeration,
     write_lp,
 )
 from placer.oracle import optimal_gdp, optimal_placement
 from placer.workload import parse_workload
 
-from helpers import random_view_dag, random_workload
+from helpers import random_view_dag, random_workload, solve_ip
 
 
 def test_dp_ip_variable_counts(fig2):
@@ -47,7 +46,7 @@ def test_dp_ip_matches_oracle_tiny():
         "servers": [{"id": "S1", "storage_capacity": 1},
                      {"id": "S2", "storage_capacity": 1}],
     }))
-    best = solve_ip_by_enumeration(build_dp_ip(w))
+    best = solve_ip(read_lp(write_lp(build_dp_ip(w))))
     assert best is not None
     assert best[0] == optimal_placement(w).cost == 0
 
@@ -56,7 +55,7 @@ def test_dp_ip_matches_oracle_random():
     rng = random.Random(3)
     for _ in range(25):
         w = random_workload(rng, max_tables=4, max_queries=3, max_servers=2)
-        best = solve_ip_by_enumeration(build_dp_ip(w))
+        best = solve_ip(read_lp(write_lp(build_dp_ip(w))))
         oracle = optimal_placement(w)
         if best is None:
             assert not oracle.feasible
@@ -69,7 +68,7 @@ def test_replication_ip_r1_complement_identity():
     for _ in range(15):
         w = random_workload(rng, max_tables=3, max_queries=2, max_servers=2)
         oracle = optimal_placement(w)
-        best = solve_ip_by_enumeration(build_replication_ip(w, 1))
+        best = solve_ip(read_lp(write_lp(build_replication_ip(w, 1))))
         if not oracle.feasible:
             assert best is None
             continue
@@ -88,7 +87,7 @@ def test_replication_ip_forces_one_replica_per_server():
                      {"id": "S2", "storage_capacity": 1}],
     }))
     model = build_replication_ip(w, 2)
-    best = solve_ip_by_enumeration(model)
+    best = solve_ip(read_lp(write_lp(model)))
     assert best is not None
     _, assignment = best
     # two replicas over two servers: exactly one on each
@@ -109,7 +108,7 @@ def test_replication_ip_rejects_r_above_l():
 
 
 def test_gdp_ip_matches_oracle(gdp_example):
-    best = solve_ip_by_enumeration(build_gdp_ip(gdp_example))
+    best = solve_ip(read_lp(write_lp(build_gdp_ip(gdp_example))))
     assert best is not None
     assert best[0] == optimal_gdp(gdp_example).cost == 16
 
@@ -118,7 +117,7 @@ def test_gdp_ip_random():
     rng = random.Random(5)
     for _ in range(15):
         d = random_view_dag(rng, max_views=4, max_servers=2)
-        best = solve_ip_by_enumeration(build_gdp_ip(d))
+        best = solve_ip(read_lp(write_lp(build_gdp_ip(d))))
         oracle = optimal_gdp(d)
         if best is None:
             assert not oracle.feasible
@@ -132,7 +131,7 @@ def test_gdp_ip_single_view_single_server():
         "arcs": [],
         "servers": [{"id": "S1", "storage_capacity": 1}],
     }))
-    best = solve_ip_by_enumeration(build_gdp_ip(d))
+    best = solve_ip(read_lp(write_lp(build_gdp_ip(d))))
     assert best[0] == 0
 
 

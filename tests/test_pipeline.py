@@ -3,10 +3,13 @@ import warnings
 from fractions import Fraction
 
 from placer.generate import GenSpec, generate
+from placer.ip import build_dp_ip, read_lp, write_lp
 from placer.oracle import optimal_gdp, optimal_placement
 from placer.partition import PartitionConfig
 from placer.pipeline import balance_sweep, load_ratio_cap, plan_view_dag, plan_workload
 from placer.workload import parse_workload
+
+from helpers import solve_ip
 
 FAST = PartitionConfig(seeds=(0, 1), slack_factors=(Fraction(0), Fraction(1, 4)))
 
@@ -15,6 +18,18 @@ def test_plan_fig2_matches_oracle(fig2):
     outcome = plan_workload(fig2)
     assert outcome.report.total_cost == optimal_placement(fig2).cost
     assert not outcome.report.violations
+
+
+def test_plan_within_five_percent_of_proven_optimum():
+    # 10x10 on 4 servers is beyond the branch-and-bound oracle; HiGHS
+    # proves these optima on the exported LP text in a few seconds each.
+    for seed, optimum in ((1, 406), (2, 283), (3, 289)):
+        w = generate(GenSpec(shape="random", n_tables=10, n_queries=10,
+                             n_servers=4, seed=seed))
+        assert solve_ip(read_lp(write_lp(build_dp_ip(w))))[0] == optimum
+        report = plan_workload(w).report
+        assert not report.violations
+        assert report.total_cost <= 1.05 * optimum
 
 
 def test_plan_single_server(fig2):
