@@ -12,6 +12,7 @@ import hashlib
 import json
 import sys
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -307,7 +308,11 @@ def cmd_replicate(args) -> int:
     text, digest = _read_input(args.input)
     w = parse_workload(text)
     cfg = ReplicationConfig(args.replication, args.seed)
-    placement = heuristic1(w, cfg) if args.heuristic == 1 else heuristic2(w, cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        placement = heuristic1(w, cfg) if args.heuristic == 1 else heuristic2(w, cfg)
+    for warning in caught:
+        print(f"note: {warning.message}", file=sys.stderr)
     report = dp_cost(placement, w)
     server_ids = _server_ids(w)
     out_path = _out_path(args, args.input, ".placement.json")
@@ -369,7 +374,7 @@ def cmd_import_partition(args) -> int:
     if isinstance(instance, ViewDag):
         placement = decode_gdp(assignment, instance)
     else:
-        placement = decode_dp(assignment, instance)
+        placement = decode_dp(assignment, instance, resite=not args.load)
     out_path = _out_path(args, args.partition, ".placement.json")
     out_path.write_text(placement_to_document(placement, server_ids))
     return _report(args, "import-partition", digest, [], _cost(placement, instance),
@@ -465,7 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("import-partition", help="decode an external partition file")
     add_common(p)
     p.add_argument("partition", help="one part index per line")
-    p.add_argument("--load", action="store_true")
+    p.add_argument("--load", action="store_true",
+                   help="partition of an export-graph --load file: keep query sites")
     p.add_argument("--out", help="placement output path")
     p.set_defaults(func=cmd_import_partition)
 

@@ -20,6 +20,7 @@ Class defaults:
 """
 from __future__ import annotations
 
+import graphlib
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -159,35 +160,6 @@ def parse_gdp(text: str) -> ViewDag:
     return d
 
 
-def _find_cycle(ids: list[str], consumers: dict[str, list[str]]) -> list[str] | None:
-    # consumers[x] = views that x depends on (x -> producer arcs)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in ids}
-    for start in ids:
-        if color[start] != WHITE:
-            continue
-        stack: list[tuple[str, int]] = [(start, 0)]
-        path = [start]
-        color[start] = GRAY
-        while stack:
-            node, idx = stack[-1]
-            deps = consumers.get(node, ())
-            if idx < len(deps):
-                stack[-1] = (node, idx + 1)
-                nxt = deps[idx]
-                if color[nxt] == GRAY:
-                    return path[path.index(nxt):] + [nxt]
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, 0))
-                    path.append(nxt)
-            else:
-                color[node] = BLACK
-                stack.pop()
-                path.pop()
-    return None
-
-
 def validate_view_dag(d: ViewDag) -> None:
     by_id: dict[str, View] = {}
     for v in d.views:
@@ -202,7 +174,7 @@ def validate_view_dag(d: ViewDag) -> None:
         _nonneg(v.exec_cost, f"exec_cost of view {v.id!r}")
 
     seen_pairs: set[tuple[str, str]] = set()
-    deps: dict[str, list[str]] = {}
+    order = graphlib.TopologicalSorter()
     for a in d.arcs:
         for endpoint in (a.consumer, a.producer):
             if endpoint not in by_id:
@@ -215,11 +187,16 @@ def validate_view_dag(d: ViewDag) -> None:
             raise DocumentError(f"base table {a.consumer!r} cannot depend on other views")
         if by_id[a.producer].kind is ViewClass.QUERY:
             raise DocumentError(f"query view {a.producer!r} cannot have consumers")
-        deps.setdefault(a.consumer, []).append(a.producer)
-
-    cycle = _find_cycle([v.id for v in d.views], deps)
-    if cycle is not None:
-        raise DocumentError("cycle detected: " + " -> ".join(cycle))
+        order.add(a.producer, a.consumer)
+    try:
+        order.prepare()
+    except graphlib.CycleError as exc:
+        # Each view in the reported cycle depends on the next; report it
+        # from its first view in document order.
+        cycle = exc.args[1][:-1]
+        i = cycle.index(min(cycle, key=list(by_id).index))
+        cycle = cycle[i:] + cycle[:i]
+        raise DocumentError("cycle detected: " + " -> ".join(cycle + cycle[:1])) from None
 
     # Placement documents name servers by id, so ids must be unique.
     server_ids: set[str] = set()

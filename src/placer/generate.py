@@ -42,6 +42,12 @@ class GenSpec:
     def __post_init__(self) -> None:
         if self.shape not in ("random", "tpcds"):
             raise ValidationError(f"unknown shape {self.shape!r}")
+        tpcds_counts = (FACT_TABLES + DIMENSION_TABLES, BENCHMARK_QUERIES)
+        if self.shape == "tpcds" and (self.n_tables, self.n_queries) != tpcds_counts:
+            raise ValidationError(
+                f"the tpcds shape has {tpcds_counts[0]} tables and {tpcds_counts[1]} "
+                f"queries, got {self.n_tables} and {self.n_queries}"
+            )
         if self.shape == "random" and self.n_tables < 1:
             raise ValidationError("need at least one table")
         if self.shape == "random" and self.n_queries < 0:

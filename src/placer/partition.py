@@ -98,7 +98,21 @@ class _Mesh:
 def _mesh_of(g: PartGraph) -> tuple[list[str], _Mesh]:
     """The node ids in index order, and the mesh of a PartGraph.  Index
     order is sorted node id order, which is also the graph file's line
-    order."""
+    order.
+
+    This is the one check of a PartGraph's contract: capacity and node
+    weight vectors share one length, and every edge joins two distinct
+    nodes at most once with a positive weight (INFINITE included).
+    Refinement relies on the positive weights: a node has a neighbour in
+    a part exactly when its connectivity to that part is nonzero.
+    """
+    ncon = len(g.part_capacities[0]) if g.part_capacities else g.ncon
+    if any(len(vec) != ncon for vec in g.part_capacities):
+        raise ValidationError("part capacity vectors must share one length")
+    if any(len(n.weights) != ncon for n in g.nodes):
+        raise ValidationError(
+            f"node weight vectors must have {ncon} components to match capacities"
+        )
     order = sorted(g.nodes, key=lambda n: n.id)
     ids = [n.id for n in order]
     index = {nid: i for i, nid in enumerate(ids)}
@@ -108,12 +122,14 @@ def _mesh_of(g: PartGraph) -> tuple[list[str], _Mesh]:
         u, v = index[e.u], index[e.v]
         if u == v:
             raise ValidationError(f"self-loop on node {e.u!r}")
+        if not e.weight > 0:
+            raise ValidationError(f"edge {e.u!r}-{e.v!r} has weight {e.weight}, not > 0")
         key = (u, v) if u < v else (v, u)
         if key in seen:
             raise ValidationError(f"parallel edge {e.u!r}-{e.v!r}")
         seen.add(key)
         edges.append((*key, e.weight))
-    return ids, _Mesh(g.ncon, [n.weights for n in order], edges)
+    return ids, _Mesh(ncon, [n.weights for n in order], edges)
 
 
 def _coarsen_once(mesh: _Mesh, rng: random.Random) -> tuple[list[int], _Mesh]:
@@ -199,17 +215,16 @@ def _initial_assign(mesh: _Mesh, caps, rng: random.Random) -> list[int]:
     by_weight = sorted(range(n), key=lambda u: (tuple(-w for w in mesh.weights[u]), u))
     part_order = sorted(range(l), key=lambda k: (tuple(-c for c in caps[k]), k))
     unassigned = n
-    conn = [0] * n
-    stamp = [-1] * n  # conn[u] valid only when stamp[u] == current part
     for k in part_order:
         if unassigned == 0:
             break
+        conn: dict[int, int] = {}  # unassigned node -> edge weight into part k
         heap: list[tuple[int, int, int]] = []  # (-conn, -weight0, node)
         while True:
             pick = -1
             while heap:
                 negc, negw, u = heapq.heappop(heap)
-                if part[u] != -1 or stamp[u] != k or -negc != conn[u]:
+                if part[u] != -1 or -negc != conn[u]:
                     continue
                 if _fits(loads[k], mesh.weights[u], caps[k]):
                     pick = u
@@ -229,11 +244,8 @@ def _initial_assign(mesh: _Mesh, caps, rng: random.Random) -> list[int]:
             for v, w in mesh.adj[pick]:
                 if part[v] != -1:
                     continue
-                if stamp[v] != k:
-                    stamp[v] = k
-                    conn[v] = 0
-                conn[v] += w
-                heapq.heappush(heap, (-conn[v], -mesh.weights[v][0], v))
+                c = conn[v] = conn.get(v, 0) + w
+                heapq.heappush(heap, (-c, -mesh.weights[v][0], v))
     # Whatever could not be fitted lands on the part with the most headroom;
     # the resulting overload is reported, not rejected.
     for u in by_weight:
@@ -273,23 +285,20 @@ def _violations_of(loads, caps):
     return tuple(out)
 
 
-def _connectivity(mesh: _Mesh, part, l: int) -> tuple[list[list[int]], list[list[int]]]:
+def _connectivity(mesh: _Mesh, part, l: int) -> list[list[int]]:
     """Per node and part, the summed weight of the node's edges into that
-    part (conn) and the number of those edges (count)."""
+    part."""
     conn = [[0] * l for _ in range(mesh.n)]
-    count = [[0] * l for _ in range(mesh.n)]
     for u, nbrs in enumerate(mesh.adj):
-        cu, nu = conn[u], count[u]
+        cu = conn[u]
         for v, w in nbrs:
-            pv = part[v]
-            cu[pv] += w
-            nu[pv] += 1
-    return conn, count
+            cu[part[v]] += w
+    return conn
 
 
-def _move(mesh: _Mesh, part, loads, conn, count, u: int, to: int) -> None:
-    """Move u to part `to`, keeping loads and every neighbour's conn and
-    count current."""
+def _move(mesh: _Mesh, part, loads, conn, u: int, to: int) -> None:
+    """Move u to part `to`, keeping loads and every neighbour's conn
+    current."""
     frm = part[u]
     wu, src, dst = mesh.weights[u], loads[frm], loads[to]
     for d in range(mesh.ncon):
@@ -297,14 +306,12 @@ def _move(mesh: _Mesh, part, loads, conn, count, u: int, to: int) -> None:
         dst[d] += wu[d]
     part[u] = to
     for v, w in mesh.adj[u]:
-        cv, nv = conn[v], count[v]
+        cv = conn[v]
         cv[frm] -= w
         cv[to] += w
-        nv[frm] -= 1
-        nv[to] += 1
 
 
-def _repair_overloads(mesh: _Mesh, part, loads, caps, conn, count) -> bool:
+def _repair_overloads(mesh: _Mesh, part, loads, caps, conn) -> bool:
     """Move nodes out of overfull parts; may raise the cut to gain room.
     The part with the largest total excess goes first, the lowest index
     on ties."""
@@ -337,12 +344,12 @@ def _repair_overloads(mesh: _Mesh, part, loads, caps, conn, count) -> bool:
                     best, best_u, best_q = key, u, q
         if best is None:
             break
-        _move(mesh, part, loads, conn, count, best_u, best_q)
+        _move(mesh, part, loads, conn, best_u, best_q)
         changed = True
     return changed
 
 
-def _sequence_pass(mesh: _Mesh, part, loads, caps, conn, count) -> bool:
+def _sequence_pass(mesh: _Mesh, part, loads, caps, conn) -> bool:
     """One move-sequence pass: tentatively apply the best feasible move
     (even a worsening one), lock the node, and finally roll back to the
     best prefix seen.  Returns True when the kept prefix improves the
@@ -351,9 +358,10 @@ def _sequence_pass(mesh: _Mesh, part, loads, caps, conn, count) -> bool:
     Candidate moves live in a lazily invalidated heap keyed by
     (-gain, node, part, generation), so equal gains pop the lowest node
     id first and then the lowest part index; moves target only parts
-    that hold a neighbour.  Every move bumps the generation of each
-    unlocked neighbour and pushes its moves afresh, and a node only moves
-    when it is popped, after which it is locked.  So an entry whose
+    that hold a neighbour, which with positive edge weights are the
+    parts of nonzero connectivity.  Every move bumps the generation of
+    each unlocked neighbour and pushes its moves afresh, and a node only
+    moves when it is popped, after which it is locked.  So an entry whose
     generation is current belongs to an unlocked node that has not moved
     and whose neighbours have not moved since the push: its part, its
     target part and its gain are still exact, and the pop needs no
@@ -370,10 +378,10 @@ def _sequence_pass(mesh: _Mesh, part, loads, caps, conn, count) -> bool:
     heap: list[tuple[int, int, int, int]] = []
 
     def push(u: int) -> None:
-        cu, nu, p, g = conn[u], count[u], part[u], gen[u]
+        cu, p, g = conn[u], part[u], gen[u]
         base = cu[p]
         for q in parts:
-            if nu[q] and q != p:
+            if cu[q] and q != p:
                 heapq.heappush(heap, (base - cu[q], u, q, g))
 
     for u in range(n):
@@ -390,7 +398,7 @@ def _sequence_pass(mesh: _Mesh, part, loads, caps, conn, count) -> bool:
         if not _fits(loads[q], mesh.weights[u], caps[q]):
             continue
         trail.append((u, part[u]))
-        _move(mesh, part, loads, conn, count, u, q)
+        _move(mesh, part, loads, conn, u, q)
         locked[u] = True
         cum_gain -= neg_gain
         if cum_gain > best_gain:
@@ -404,7 +412,7 @@ def _sequence_pass(mesh: _Mesh, part, loads, caps, conn, count) -> bool:
                 gen[v] += 1
                 push(v)
     for u, frm in reversed(trail[best_len:]):
-        _move(mesh, part, loads, conn, count, u, frm)
+        _move(mesh, part, loads, conn, u, frm)
     return best_gain > 0
 
 
@@ -412,10 +420,10 @@ def _refine(mesh: _Mesh, part, loads, caps) -> None:
     """Move-based local search; never raises the cut while feasibility is
     unchanged (overload repair is the only cut-increasing step).  The
     part connectivity is built once here and kept current by _move."""
-    conn, count = _connectivity(mesh, part, len(caps))
+    conn = _connectivity(mesh, part, len(caps))
     for _ in range(REFINEMENT_PASSES):
-        repaired = _repair_overloads(mesh, part, loads, caps, conn, count)
-        improved = _sequence_pass(mesh, part, loads, caps, conn, count)
+        repaired = _repair_overloads(mesh, part, loads, caps, conn)
+        improved = _sequence_pass(mesh, part, loads, caps, conn)
         if not improved and not repaired:
             break
 
@@ -454,28 +462,13 @@ def partition(g: PartGraph, cfg: PartitionConfig | None = None) -> PartitionResu
     be the least violating one.
     """
     cfg = cfg or PartitionConfig()
-    l = len(g.part_capacities)
-    if l == 0:
+    if not g.part_capacities:
         raise ValidationError("at least one part capacity is required")
-    ncon = len(g.part_capacities[0])
-    if any(len(vec) != ncon for vec in g.part_capacities):
-        raise ValidationError("part capacity vectors must share one length")
-    if any(len(n.weights) != ncon for n in g.nodes):
-        raise ValidationError(
-            f"node weight vectors must have {ncon} components to match capacities"
-        )
     if g.has_infinite_edges():
         raise ValidationError("contract infinite edges before partitioning")
 
     ids, mesh = _mesh_of(g)
     caps_raw = g.part_capacities
-    if mesh.n == 0:
-        return PartitionResult(
-            PartitionAssignment({}), 0,
-            tuple((0,) * ncon for _ in range(l)), caps_raw, (), cfg.slack_factors[0],
-            cfg.seeds[0],
-        )
-
     best = None
     for si, seed in enumerate(cfg.seeds):
         levels = _coarsen(mesh, seed)
@@ -620,12 +613,16 @@ def parse_graph(text: str, part_capacities) -> PartGraph:
             raise DocumentError(f"non-integer field on node line {i}: {line!r}") from None
         if len(fields) < ncon or (len(fields) - ncon) % 2 != 0:
             raise DocumentError(f"malformed node line {i}: {line!r}")
+        if min(fields[:ncon]) < 0:
+            raise DocumentError(f"negative node weight on node line {i}: {line!r}")
         nodes.append(GraphNode(ids[i - 1], tuple(fields[:ncon])))
         rest = fields[ncon:]
         for j in range(0, len(rest), 2):
             v, w = rest[j], rest[j + 1]
             if not 1 <= v <= n:
                 raise DocumentError(f"node line {i} references node {v} out of range")
+            if w <= 0:
+                raise DocumentError(f"node line {i} gives node {v} edge weight {w}, not > 0")
             key = (min(i, v), max(i, v))
             if key in half_edges and half_edges[key] != w:
                 raise DocumentError(f"edge {key} has asymmetric weights")

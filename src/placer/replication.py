@@ -26,7 +26,7 @@ from .common import ValidationError
 from .evaluate import Placement, best_site, storage_usage
 from .partition import PartitionConfig
 from .pipeline import plan_workload
-from .workload import Server, Workload
+from .workload import Server, Workload, validate_capacity_lower_bounds
 
 __all__ = [
     "ReplicationConfig",
@@ -53,39 +53,31 @@ def _check_factor(factor: int, l: int) -> None:
         )
 
 
-def _warn_capacity(caps: list[int], w: Workload, context: str) -> None:
+def _warn_capacity(round_w: Workload, w: Workload, context: str) -> None:
+    """Warn when w's servers differ in capacity, and for each capacity
+    lower bound that the servers of a planning round fail."""
     if len(set(s.storage_capacity for s in w.servers)) > 1:
         _warnings.warn(
             f"{context}: server capacities are unequal; proceeding with "
             "per-server floors",
             stacklevel=3,
         )
-    total = w.total_size()
-    if sum(caps) < total:
-        _warnings.warn(
-            f"{context}: one copy of all tables ({total}) may not fit in the "
-            f"round capacity ({sum(caps)})",
-            stacklevel=3,
-        )
-    largest = max((t.size for t in w.tables), default=0)
-    if caps and max(caps) < largest:
-        _warnings.warn(
-            f"{context}: largest table ({largest}) exceeds every round "
-            f"capacity (max {max(caps)})",
-            stacklevel=3,
-        )
+    for note in validate_capacity_lower_bounds(round_w):
+        _warnings.warn(f"{context}: {note}", stacklevel=3)
 
 
 def heuristic1(w: Workload, cfg: ReplicationConfig) -> Placement:
     l = len(w.servers)
     _check_factor(cfg.factor, l)
-    caps = [s.storage_capacity // cfg.factor for s in w.servers]
-    _warn_capacity(caps, w, "heuristic 1")
     shrunk = Workload(
         w.tables,
         w.queries,
-        tuple(Server(s.id, c, s.load_capacity) for s, c in zip(w.servers, caps)),
+        tuple(
+            Server(s.id, s.storage_capacity // cfg.factor, s.load_capacity)
+            for s in w.servers
+        ),
     )
+    _warn_capacity(shrunk, w, "heuristic 1")
     base = plan_workload(shrunk, cfg.partition).placement
     rng = random.Random(cfg.rng_seed)
     permutations = [list(range(l))]
@@ -107,8 +99,6 @@ def heuristic2(w: Workload, cfg: ReplicationConfig) -> Placement:
     _check_factor(cfg.factor, l)
     r = cfg.factor
     block_size = l // r
-    if block_size == 0:
-        raise ValidationError("not enough servers per replication round")
     m = len(w.queries)
     drop = m // r
     remaining = list(w.queries)
@@ -117,11 +107,8 @@ def heuristic2(w: Workload, cfg: ReplicationConfig) -> Placement:
         start = (i - 1) * block_size
         end = i * block_size if i < r else l
         block = list(range(start, end))
-        block_servers = tuple(w.servers[k] for k in block)
-        _warn_capacity(
-            [s.storage_capacity for s in block_servers], w, f"heuristic 2 round {i}"
-        )
-        sub = Workload(w.tables, tuple(remaining), block_servers)
+        sub = Workload(w.tables, tuple(remaining), tuple(w.servers[k] for k in block))
+        _warn_capacity(sub, w, f"heuristic 2 round {i}")
         round_placement = plan_workload(sub, cfg.partition).placement
         for t in w.tables:
             replica_sets[t.id].append(block[round_placement.store[t.id][0]])

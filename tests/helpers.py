@@ -14,6 +14,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+from dataclasses import replace
 from math import erf, sqrt
 
 import numpy as np
@@ -134,6 +135,16 @@ def random_view_dag(
     d = ViewDag(tuple(views), tuple(arcs), tuple(servers))
     validate_view_dag(d)
     return d
+
+
+def cut_capacities(instance, rng: random.Random):
+    """The workload or view DAG with every storage capacity cut to a
+    random 30-90%, so that some instances have no feasible placement."""
+    servers = tuple(
+        replace(s, storage_capacity=s.storage_capacity * rng.randint(3, 9) // 10)
+        for s in instance.servers
+    )
+    return replace(instance, servers=servers)
 
 
 def brute_force_placement_cost(w: Workload) -> int | None:

@@ -138,6 +138,8 @@ def test_gen_deterministic(capsys, tmp_path):
 @pytest.mark.parametrize("argv, message", [
     (("--queries", "-1"), "query count"),
     (("--tables", "0"), "at least one table"),
+    (("--shape", "tpcds", "--tables", "5", "--queries", "-7"),
+     "the tpcds shape has 24 tables and 99 queries, got 5 and -7"),
 ])
 def test_gen_rejects_bad_counts(capsys, argv, message):
     code, out, err = run(capsys, "gen", *argv)
@@ -175,6 +177,37 @@ def test_import_partition_round_trip(capsys, tmp_path, fig2_file):
     assert "total cost: 0" in out
 
 
+def test_import_partition_load_keeps_query_sites(capsys, tmp_path, fig2_file):
+    # Graph node order is q:Q1..q:Q4, then t:T1..t:T6.  Every table goes
+    # to S1 and Q1 to S2, away from its cheapest server.  --load keeps
+    # the sites the partition gives; without it queries are re-sited.
+    part_path = tmp_path / "fig2.part"
+    part_path.write_text("1\n0\n0\n0\n" + "0\n" * 6)
+    sites = {}
+    for flags in ((), ("--load",)):
+        out_path = tmp_path / "p.json"
+        code, _, _ = run(capsys, "import-partition", fig2_file, part_path, *flags,
+                         "--out", out_path)
+        assert code == 2  # every table on S1: storage violation
+        sites[flags] = json.loads(out_path.read_text())["compute"]["Q1"]
+    assert sites == {(): "S1", ("--load",): "S2"}
+
+
+def test_import_partition_gdp(capsys, tmp_path, gdp_file):
+    # Node order is c:V1..c:V7, then s:V1..s:V7; both sides of V1, V4 and
+    # V5 go to S1, the rest to S2.  The graph keeps its infinite edge.
+    sides = "0 1 1 0 0 1 1".split()
+    part_path = tmp_path / "views.part"
+    part_path.write_text("\n".join(sides + sides) + "\n")
+    out_path = tmp_path / "p.json"
+    code, out, _ = run(capsys, "import-partition", gdp_file, part_path,
+                       "--out", out_path)
+    assert code == 0
+    assert "total cost: 27" in out  # arcs V4<-V2, V5<-V3, V7<-V4, V7<-V5
+    doc = json.loads(out_path.read_text())
+    assert doc["compute"]["V7"] == "S2" and doc["store"]["V5"] == ["S1"]
+
+
 def test_export_ip_dp(capsys, tmp_path, fig2_file):
     out_path = tmp_path / "fig2.lp"
     code, out, _ = run(capsys, "export-ip", fig2_file, "--out", out_path)
@@ -198,6 +231,51 @@ def test_export_ip_gdp(capsys, tmp_path, gdp_file):
                      "--out", out_path)
     assert code == 0
     assert "pin_V1_S1" in out_path.read_text()
+
+
+@pytest.mark.parametrize("instance, model, message", [
+    ("fig2", "gdp", "gdp model needs a GDP document"),
+    ("gdp", "dp", "dp model needs a plain workload"),
+    ("gdp", "replication", "replication model needs a plain workload"),
+])
+def test_export_ip_rejects_model_of_other_document(capsys, tmp_path, fig2_file,
+                                                   gdp_file, instance, model, message):
+    path = fig2_file if instance == "fig2" else gdp_file
+    code, out, err = run(capsys, "export-ip", path, "--model", model,
+                         "--out", tmp_path / "x.lp")
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "x.lp").exists()
+
+
+def test_cost_without_compute_section_charges_cheapest_server(capsys, tmp_path,
+                                                              fig2_file):
+    out_path = tmp_path / "p.json"
+    run(capsys, "plan", fig2_file, "--out", out_path)
+    doc = json.loads(out_path.read_text())
+    store_only = tmp_path / "store.json"
+    store_only.write_text(json.dumps({"store": doc["store"]}))
+    _, planned, _ = run(capsys, "cost", fig2_file, out_path)
+    code, out, _ = run(capsys, "cost", fig2_file, store_only)
+    assert code == 0
+    assert "total cost: 4" in out
+    assert out.replace(str(store_only), "") == planned.replace(str(out_path), "")
+
+
+def test_replicate_prints_warnings_as_notes(capsys, tmp_path):
+    # Unequal servers that, halved for r=2, hold neither the largest
+    # table nor one copy of every table.
+    doc = json.loads(FIG2_DOC)
+    for server, cap in zip(doc["servers"], (3, 2, 1)):
+        server["storage_capacity"] = cap
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "replicate", path, "--replication", "2",
+                       "--heuristic", "1", "--out", tmp_path / "p.json")
+    assert code == 2
+    assert all(line.startswith("note: heuristic 1: ") for line in err.splitlines()), err
+    assert ".py" not in err
+    assert all(kind in err for kind in ("unequal", "largest-table", "aggregate-capacity"))
 
 
 def test_replicate_command(capsys, tmp_path):

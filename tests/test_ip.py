@@ -18,7 +18,7 @@ from placer.ip import (
 from placer.oracle import optimal_gdp, optimal_placement
 from placer.workload import parse_workload
 
-from helpers import random_view_dag, random_workload, solve_ip
+from helpers import cut_capacities, random_view_dag, random_workload, solve_ip
 
 
 def test_dp_ip_variable_counts(fig2):
@@ -52,15 +52,22 @@ def test_dp_ip_matches_oracle_tiny():
 
 
 def test_dp_ip_matches_oracle_random():
+    # The last 20 instances get cut capacities, so the infeasible branch
+    # is compared too.
     rng = random.Random(3)
-    for _ in range(25):
+    infeasible = 0
+    for i in range(45):
         w = random_workload(rng, max_tables=4, max_queries=3, max_servers=2)
+        if i >= 25:
+            w = cut_capacities(w, rng)
         best = solve_ip(read_lp(write_lp(build_dp_ip(w))))
         oracle = optimal_placement(w)
         if best is None:
             assert not oracle.feasible
+            infeasible += 1
         else:
             assert best[0] == oracle.cost
+    assert infeasible >= 10
 
 
 def test_replication_ip_r1_complement_identity():
@@ -114,15 +121,22 @@ def test_gdp_ip_matches_oracle(gdp_example):
 
 
 def test_gdp_ip_random():
+    # The last 20 instances get cut capacities, so the infeasible branch
+    # is compared too.
     rng = random.Random(5)
-    for _ in range(15):
+    infeasible = 0
+    for i in range(35):
         d = random_view_dag(rng, max_views=4, max_servers=2)
+        if i >= 15:
+            d = cut_capacities(d, rng)
         best = solve_ip(read_lp(write_lp(build_gdp_ip(d))))
         oracle = optimal_gdp(d)
         if best is None:
             assert not oracle.feasible
+            infeasible += 1
         else:
             assert best[0] == oracle.cost
+    assert infeasible >= 5
 
 
 def test_gdp_ip_single_view_single_server():

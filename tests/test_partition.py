@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -81,6 +82,44 @@ def test_ncon_mismatch_rejected():
     g = PartGraph((node("a", 1, 2),), (), ((1,),))
     with pytest.raises(ValidationError):
         partition(g)
+
+
+PAIR = (node("a", 1), node("b", 1))
+
+
+@pytest.mark.parametrize("g, message", [
+    (PartGraph(PAIR, (GraphEdge("a", "b", 0),), ((2,), (2,))), "weight 0, not > 0"),
+    (PartGraph(PAIR, (GraphEdge("a", "b", -1),), ((2,), (2,))), "weight -1, not > 0"),
+    (PartGraph((node("a", 1), node("b", 1, 2)), (), ((2,), (2,))), "1 components"),
+    (PartGraph((node("a", 1, 2), node("b", 1, 2)), (), ((2,),)), "1 components"),
+    (PartGraph(PAIR, (), ((2,), (2, 2))), "share one length"),
+    (PartGraph(PAIR, (GraphEdge("a", "a", 1),), ((2,), (2,))), "self-loop"),
+    (PartGraph(PAIR, (GraphEdge("a", "b", 1), GraphEdge("b", "a", 2)), ((2,), (2,))),
+     "parallel edge"),
+], ids=["zero-edge", "negative-edge", "node-widths", "node-vs-capacity", "capacity-widths",
+        "self-loop", "parallel-edge"])
+def test_graph_contract_checked_by_every_entry(g, message):
+    # partition, export_graph and import_partition share one check.
+    for use in (partition, export_graph, lambda g: import_partition("0\n0\n", g)):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            use(g)
+
+
+def test_infinite_edges_pass_the_contract_check():
+    g = PartGraph(PAIR, (GraphEdge("a", "b", INFINITE),), ((2,), (2,)))
+    assert import_partition("0\n1\n", g).part_of == {"a": 0, "b": 1}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2 1 011 1\n1 2 0\n1 1 0\n", "node line 1 gives node 2 edge weight 0, not > 0"),
+    ("2 1 011 1\n1 2 -5\n1 1 -5\n", "node line 1 gives node 2 edge weight -5, not > 0"),
+    ("2 1 011 1\n1 2 3\n1 1 -3\n", "node line 2 gives node 1 edge weight -3, not > 0"),
+    ("2 0 011 1\n1\n-1\n", "negative node weight on node line 2: '-1'"),
+    ("2 0 011 2\n1 1\n1\n", "malformed node line 2: '1'"),
+], ids=["zero-edge", "negative-edge", "negative-back-edge", "negative-node", "node-width"])
+def test_parse_graph_rejects_bad_weights(text, message):
+    with pytest.raises(DocumentError, match=re.escape(message)):
+        parse_graph(text, ((9,), (9,)))
 
 
 def test_infinite_edges_rejected():
@@ -189,23 +228,23 @@ def test_refinement_passes_never_raise_cut():
         part = [rng.randrange(l) for _ in range(mesh.n)]
         loads = _loads_of(mesh, part, l)
         caps = _scaled_caps(caps_raw, Fraction(0))
-        conn, count = _connectivity(mesh, part, l)
+        conn = _connectivity(mesh, part, l)
 
         def cut():
             return sum(w for u, v, w in mesh.edges if part[u] != part[v])
 
         for _ in range(4):
             before = cut()
-            _sequence_pass(mesh, part, loads, caps, conn, count)
+            _sequence_pass(mesh, part, loads, caps, conn)
             assert cut() <= before
             assert loads == _loads_of(mesh, part, l)
-            assert (conn, count) == _connectivity(mesh, part, l)
+            assert conn == _connectivity(mesh, part, l)
 
 
 def _refinement_instance(rng):
-    """A random mesh, capacities and start for refinement: edges of
-    weight 0, isolated nodes, two constraints with unbounded components
-    and starts that overfill parts all occur."""
+    """A random mesh, capacities and start for refinement: isolated
+    nodes, two constraints with unbounded components and starts that
+    overfill parts all occur."""
     from placer.partition import _Mesh
 
     n = rng.randint(1, 60)
@@ -215,7 +254,7 @@ def _refinement_instance(rng):
     linked = [u for u in range(n) if rng.random() < 0.85]
     density = rng.uniform(0.05, 0.5)
     edges = [
-        (u, v, 0 if rng.random() < 0.2 else rng.randint(1, 9))
+        (u, v, rng.randint(1, 9))
         for i, u in enumerate(linked)
         for v in linked[i + 1:]
         if rng.random() < density
@@ -255,11 +294,10 @@ def test_refinement_equals_dict_reference():
     )
 
     rng = random.Random(2024)
-    seen = dict(zero=0, isolated=0, infinite=0, overloaded=0, moved=0)
+    seen = dict(isolated=0, infinite=0, overloaded=0, moved=0)
     for _ in range(300):
         mesh, start, caps = _refinement_instance(rng)
         l = len(caps)
-        seen["zero"] += any(w == 0 for _, _, w in mesh.edges)
         seen["isolated"] += any(not a for a in mesh.adj)
         seen["infinite"] += any(INFINITE in vec for vec in caps)
         seen["overloaded"] += bool(_violations_of(_loads_of(mesh, start, l), caps))
@@ -273,15 +311,15 @@ def test_refinement_equals_dict_reference():
 
         part, ref_part = list(start), list(start)
         loads, ref_loads = _loads_of(mesh, part, l), _loads_of(mesh, part, l)
-        conn, count = _connectivity(mesh, part, l)
+        conn = _connectivity(mesh, part, l)
         for _ in range(REFINEMENT_PASSES):
-            repaired = _repair_overloads(mesh, part, loads, caps, conn, count)
+            repaired = _repair_overloads(mesh, part, loads, caps, conn)
             assert repaired == reference_repair_overloads(mesh, ref_part, ref_loads, caps)
             assert part == ref_part and loads == ref_loads
-            improved = _sequence_pass(mesh, part, loads, caps, conn, count)
+            improved = _sequence_pass(mesh, part, loads, caps, conn)
             assert improved == reference_sequence_pass(mesh, ref_part, ref_loads, caps)
             assert part == ref_part and loads == ref_loads
-            assert (conn, count) == _connectivity(mesh, part, l)
+            assert conn == _connectivity(mesh, part, l)
             if not improved and not repaired:
                 break
     assert all(c >= 30 for c in seen.values()), seen
