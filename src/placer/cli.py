@@ -75,10 +75,17 @@ def _graph(instance: Workload | ViewDag, with_load: bool) -> PartGraph:
 
 
 def _load_instance(text: str) -> Workload | ViewDag:
+    """A view DAG when the document has views or arcs, else a plain
+    workload; a document with sections of both kinds is rejected."""
     probe = load_json_document(text)
-    if "views" in probe:
-        return parse_gdp(text)
-    return parse_workload(text)
+    dag_keys = sorted({"views", "arcs"} & probe.keys())
+    workload_keys = sorted({"tables", "queries"} & probe.keys())
+    if dag_keys and workload_keys:
+        raise DocumentError(
+            f"document mixes view DAG sections {dag_keys} with workload "
+            f"sections {workload_keys}"
+        )
+    return parse_gdp(text) if dag_keys else parse_workload(text)
 
 
 def _server_ids(obj: Workload | ViewDag) -> list[str]:
@@ -306,7 +313,9 @@ def cmd_cost(args) -> int:
 
 def cmd_replicate(args) -> int:
     text, digest = _read_input(args.input)
-    w = parse_workload(text)
+    w = _load_instance(text)
+    if isinstance(w, ViewDag):
+        raise DocumentError("replicate needs a plain workload")
     cfg = ReplicationConfig(args.replication, args.seed)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -434,7 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exact optimum for small instances")
     add_common(p, with_format=False)
-    p.add_argument("--budget", type=int, default=OracleLimit().max_assignments)
+    p.add_argument("--budget", type=int, default=OracleLimit().max_assignments,
+                   help="complete assignments to evaluate before stopping")
     p.add_argument("--out", help="placement output path")
     p.set_defaults(func=cmd_oracle)
 

@@ -67,6 +67,13 @@ def best_site(query: Query, placement: Placement, w: Workload) -> tuple[int, int
     return best_k, best_cost
 
 
+def site_queries(store: Mapping[str, tuple[int, ...]], w: Workload) -> Placement:
+    """The placement with these replica sets and every query at its
+    best_site."""
+    partial = Placement(store, {})
+    return Placement(store, {q.id: best_site(q, partial, w)[0] for q in w.queries})
+
+
 def _node_part(assignment: PartitionAssignment, node_id: str) -> int:
     try:
         return assignment.part_of[node_id]
@@ -89,10 +96,8 @@ def decode_dp(
     """
     store = {t.id: (_node_part(assignment, table_node(t.id)),) for t in w.tables}
     if resite:
-        partial = Placement(store, {})
-        compute = {q.id: best_site(q, partial, w)[0] for q in w.queries}
-    else:
-        compute = {q.id: _node_part(assignment, query_node(q.id)) for q in w.queries}
+        return site_queries(store, w)
+    compute = {q.id: _node_part(assignment, query_node(q.id)) for q in w.queries}
     return Placement(store, compute)
 
 

@@ -218,13 +218,7 @@ def serialize_gdp(d: ViewDag) -> str:
         entry: dict = {"id": v.id, "class": v.kind.value}
         if v.kind in (ViewClass.BASE_TABLE, ViewClass.MATERIALIZED_VIEW):
             entry["size"] = v.size
-        default_move = {
-            ViewClass.BASE_TABLE: INFINITE,
-            ViewClass.QUERY: INFINITE,
-            ViewClass.MATERIALIZED_VIEW: v.size,
-            ViewClass.INTERMEDIATE: 0,
-        }[v.kind]
-        if v.transfer_cost != default_move:
+        if v.transfer_cost != make_view(v.id, v.kind, v.size).transfer_cost:
             entry["transfer_cost"] = (
                 "inf" if v.transfer_cost == INFINITE else v.transfer_cost
             )

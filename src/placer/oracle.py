@@ -3,13 +3,17 @@
 These exist to verify: they are the ground truth for the exactness tests
 of the two reductions and for partitioner quality checks.  They do not
 scale past roughly a dozen objects and are not meant to.
+
+The budget, ``OracleLimit.max_assignments``, is spent one unit per
+complete assignment evaluated.  When it runs out the search stops and
+returns the best assignment found so far with ``complete`` False.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .common import INFINITE, ValidationError
-from .evaluate import Placement, best_site
+from .evaluate import Placement, site_queries
 from .gdp import ViewDag
 from .reduction import PartGraph, PartitionAssignment
 from .workload import Workload
@@ -25,11 +29,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OracleLimit:
-    max_assignments: int = 100_000_000  # leaf-evaluation budget
+    max_assignments: int = 100_000_000
 
     def __post_init__(self) -> None:
         if self.max_assignments < 1:
-            raise ValidationError("max_assignments must be positive")
+            raise ValidationError(
+                f"oracle budget must be at least 1 assignment, got {self.max_assignments}"
+            )
 
 
 @dataclass(frozen=True)
@@ -44,17 +50,46 @@ class OracleResult:
     feasible: bool  # at least one legal solution exists/was found
 
 
-class _Budget:
-    __slots__ = ("left",)
+def _search(n, branch, bound, snapshot, limit: OracleLimit):
+    """Depth-first branch and bound over decisions 0..n-1.
 
-    def __init__(self, limit: OracleLimit):
-        self.left = limit.max_assignments
+    ``branch(i)`` yields once per legal choice of decision i, with the
+    choice applied, and undoes it when resumed.  ``bound(i)``, with
+    decisions 0..i-1 made, never exceeds the cost of any completion and
+    equals the cost at i == n.  A subtree whose bound is no better than
+    the best leaf so far is pruned; the first strictly cheaper leaf wins
+    and ``snapshot()`` records it.  Each leaf evaluated spends one unit
+    of the budget.  Returns (cost, snapshot, complete), with cost and
+    snapshot None when no leaf was evaluated.
+    """
+    best, kept, left = None, None, limit.max_assignments
 
-    def spend(self) -> bool:
-        if self.left <= 0:
-            return False
-        self.left -= 1
-        return True
+    def dfs(i: int) -> bool:  # False once the budget is spent
+        nonlocal best, kept, left
+        if i == n:
+            if left == 0:
+                return False
+            left -= 1
+            cost = bound(n)
+            if best is None or cost < best:
+                best, kept = cost, snapshot()
+            return True
+        if best is not None and bound(i) >= best:
+            return True
+        return all(dfs(i + 1) for _ in branch(i))
+
+    complete = dfs(0)
+    return best, kept, complete
+
+
+def _charge(miss, items, k: int, sign: int) -> None:
+    """For each (row, cost) in items, add sign * cost to every entry of
+    miss[row] except part k."""
+    for i, cost in items:
+        row = miss[i]
+        for k2 in range(len(row)):
+            if k2 != k:
+                row[k2] += sign * cost
 
 
 def optimal_placement(w: Workload, limit: OracleLimit = OracleLimit()) -> OracleResult:
@@ -73,62 +108,33 @@ def optimal_placement(w: Workload, limit: OracleLimit = OracleLimit()) -> Oracle
         return OracleResult(Placement({}, {}), 0, True, True)
     order = sorted(w.tables, key=lambda t: (-t.size, t.id))
     remaining = [s.storage_capacity for s in w.servers]
-    queries = list(w.queries)
     refs_by_table: dict[str, list[tuple[int, int]]] = {t.id: [] for t in w.tables}
-    for qi, q in enumerate(queries):
+    for qi, q in enumerate(w.queries):
         for r in q.refs:
             refs_by_table[r.table].append((qi, q.frequency * r.cost))
-    miss = [[0] * l for _ in queries]  # cost at server k over assigned refs
-    budget = _Budget(limit)
-    state = {"best": None, "assign": None, "truncated": False}
+    miss = [[0] * l for _ in w.queries]  # cost at server k over assigned refs
     chosen = [0] * len(order)
 
-    def bound() -> int:
-        return sum(min(row) for row in miss)
-
-    def dfs(i: int) -> None:
-        if state["truncated"]:
-            return
-        if i == len(order):
-            if not budget.spend():
-                state["truncated"] = True
-                return
-            cost = bound()
-            if state["best"] is None or cost < state["best"]:
-                state["best"] = cost
-                state["assign"] = chosen[:]
-            return
-        if state["best"] is not None and bound() >= state["best"]:
-            return
+    def branch(i: int):
         t = order[i]
-        touched = refs_by_table[t.id]
         for k in range(l):
             if remaining[k] < t.size:
                 continue
             remaining[k] -= t.size
             chosen[i] = k
-            for qi, cost in touched:
-                row = miss[qi]
-                for k2 in range(l):
-                    if k2 != k:
-                        row[k2] += cost
-            dfs(i + 1)
-            for qi, cost in touched:
-                row = miss[qi]
-                for k2 in range(l):
-                    if k2 != k:
-                        row[k2] -= cost
+            _charge(miss, refs_by_table[t.id], k, 1)
+            yield
+            _charge(miss, refs_by_table[t.id], k, -1)
             remaining[k] += t.size
 
-    dfs(0)
-    if state["assign"] is None:
-        return OracleResult(None, None, not state["truncated"], False)
-    store = {order[i].id: (state["assign"][i],) for i in range(len(order))}
-    partial = Placement(store, {})
-    compute = {q.id: best_site(q, partial, w)[0] for q in queries}
-    return OracleResult(
-        Placement(store, compute), state["best"], not state["truncated"], True
+    cost, assign, complete = _search(
+        len(order), branch, lambda i: sum(min(row) for row in miss),
+        chosen.copy, limit,
     )
+    if assign is None:
+        return OracleResult(None, None, complete, False)
+    store = {order[i].id: (k,) for i, k in enumerate(assign)}
+    return OracleResult(site_queries(store, w), cost, complete, True)
 
 
 def optimal_gdp(d: ViewDag, limit: OracleLimit = OracleLimit()) -> OracleResult:
@@ -153,8 +159,6 @@ def optimal_gdp(d: ViewDag, limit: OracleLimit = OracleLimit()) -> OracleResult:
         producers[a.consumer].append((a.producer, a.cost))
     remaining = [s.storage_capacity for s in d.servers]
     ss = [-1] * len(order)
-    budget = _Budget(limit)
-    state = {"best": None, "assign": None, "truncated": False}
 
     def view_contribution(v, storage_of) -> tuple[int, int]:
         """(cost, chosen compute server) for a view with all inputs stored."""
@@ -180,39 +184,23 @@ def optimal_gdp(d: ViewDag, limit: OracleLimit = OracleLimit()) -> OracleResult:
                 total += view_contribution(v, storage_of)[0]
         return total
 
-    def dfs(i: int) -> None:
-        if state["truncated"]:
-            return
-        if i == len(order):
-            if not budget.spend():
-                state["truncated"] = True
-                return
-            cost = bound(i)
-            if state["best"] is None or cost < state["best"]:
-                state["best"] = cost
-                state["assign"] = ss[:]
-            return
-        if state["best"] is not None and bound(i) >= state["best"]:
-            return
+    def branch(i: int):
         v = order[i]
         for k in range(l):
             if remaining[k] < v.size:
                 continue
             remaining[k] -= v.size
             ss[i] = k
-            dfs(i + 1)
+            yield
             remaining[k] += v.size
-        ss[i] = -1
 
-    dfs(0)
-    if state["assign"] is None:
-        return OracleResult(None, None, not state["truncated"], False)
-    storage_of = {order[i].id: state["assign"][i] for i in range(len(order))}
+    cost, assign, complete = _search(len(order), branch, bound, ss.copy, limit)
+    if assign is None:
+        return OracleResult(None, None, complete, False)
+    storage_of = {order[i].id: k for i, k in enumerate(assign)}
     store = {vid: (k,) for vid, k in storage_of.items()}
     compute = {v.id: view_contribution(v, storage_of)[1] for v in views}
-    return OracleResult(
-        Placement(store, compute), state["best"], not state["truncated"], True
-    )
+    return OracleResult(Placement(store, compute), cost, complete, True)
 
 
 def optimal_partition(g: PartGraph, limit: OracleLimit = OracleLimit()) -> OracleResult:
@@ -228,40 +216,24 @@ def optimal_partition(g: PartGraph, limit: OracleLimit = OracleLimit()) -> Oracl
     ncon = g.ncon
     order = sorted(g.nodes, key=lambda n: (-n.weights[0], n.id))
     index = {n.id: i for i, n in enumerate(order)}
-    adj: list[list[tuple[int, int]]] = [[] for _ in order]
+    # later[u]: the edges from u to nodes assigned after it.
+    later: list[list[tuple[int, int]]] = [[] for _ in order]
     for e in g.edges:
-        u, v = index[e.u], index[e.v]
-        adj[u].append((v, e.weight))
-        adj[v].append((u, e.weight))
+        u, v = sorted((index[e.u], index[e.v]))
+        if u != v:
+            later[u].append((v, e.weight))
     remaining = [list(vec) for vec in g.part_capacities]
     part = [-1] * len(order)
     # miss[u][k]: cut paid if unassigned u eventually lands in part k,
     # counting only edges to already-assigned neighbors.
     miss = [[0] * l for _ in order]
-    budget = _Budget(limit)
-    state = {"best": None, "assign": None, "truncated": False}
-    partial = [0]
+    partial = 0
 
-    def lower_bound() -> int:
-        lb = partial[0]
-        for u in range(len(order)):
-            if part[u] == -1:
-                lb += min(miss[u])
-        return lb
+    def bound(i: int) -> int:
+        return partial + sum(min(miss[u]) for u in range(i, len(order)))
 
-    def dfs(i: int) -> None:
-        if state["truncated"]:
-            return
-        if i == len(order):
-            if not budget.spend():
-                state["truncated"] = True
-                return
-            if state["best"] is None or partial[0] < state["best"]:
-                state["best"] = partial[0]
-                state["assign"] = part[:]
-            return
-        if state["best"] is not None and lower_bound() >= state["best"]:
-            return
+    def branch(i: int):
+        nonlocal partial
         weights = order[i].weights
         for k in range(l):
             room = remaining[k]
@@ -273,30 +245,17 @@ def optimal_partition(g: PartGraph, limit: OracleLimit = OracleLimit()) -> Oracl
                 if room[d] != INFINITE:
                     room[d] -= weights[d]
             part[i] = k
-            partial[0] += miss[i][k]
-            for v, w in adj[i]:
-                if part[v] == -1:
-                    row = miss[v]
-                    for k2 in range(l):
-                        if k2 != k:
-                            row[k2] += w
-            dfs(i + 1)
-            for v, w in adj[i]:
-                if part[v] == -1:
-                    row = miss[v]
-                    for k2 in range(l):
-                        if k2 != k:
-                            row[k2] -= w
-            partial[0] -= miss[i][k]
-            part[i] = -1
+            partial += miss[i][k]
+            _charge(miss, later[i], k, 1)
+            yield
+            _charge(miss, later[i], k, -1)
+            partial -= miss[i][k]
             for d in range(ncon):
                 if room[d] != INFINITE:
                     room[d] += weights[d]
 
-    dfs(0)
-    if state["assign"] is None:
-        return OracleResult(None, None, not state["truncated"], False)
-    assignment = PartitionAssignment(
-        {order[i].id: state["assign"][i] for i in range(len(order))}
-    )
-    return OracleResult(assignment, state["best"], not state["truncated"], True)
+    cost, assign, complete = _search(len(order), branch, bound, part.copy, limit)
+    if assign is None:
+        return OracleResult(None, None, complete, False)
+    assignment = PartitionAssignment({order[i].id: k for i, k in enumerate(assign)})
+    return OracleResult(assignment, cost, complete, True)

@@ -605,7 +605,7 @@ def parse_graph(text: str, part_capacities) -> PartGraph:
     width = len(str(n))
     ids = [f"v{str(i).zfill(width)}" for i in range(1, n + 1)]
     nodes = []
-    half_edges: dict[tuple[int, int], int] = {}
+    half_edges: dict[tuple[int, int], int] = {}  # (node line, neighbour) -> weight
     for i, line in enumerate(lines[1:], start=1):
         try:
             fields = [int(x) for x in line.split()]
@@ -621,17 +621,26 @@ def parse_graph(text: str, part_capacities) -> PartGraph:
             v, w = rest[j], rest[j + 1]
             if not 1 <= v <= n:
                 raise DocumentError(f"node line {i} references node {v} out of range")
+            if v == i:
+                raise DocumentError(f"node line {i} lists itself as a neighbour (self-loop)")
+            if (i, v) in half_edges:
+                raise DocumentError(f"node line {i} lists node {v} more than once")
             if w <= 0:
                 raise DocumentError(f"node line {i} gives node {v} edge weight {w}, not > 0")
-            key = (min(i, v), max(i, v))
-            if key in half_edges and half_edges[key] != w:
-                raise DocumentError(f"edge {key} has asymmetric weights")
-            half_edges[key] = w
-    if len(half_edges) != m:
-        raise DocumentError(f"graph file lists {len(half_edges)} edges, header says {m}")
+            half_edges[i, v] = w
+    for (u, v), w in half_edges.items():
+        if (v, u) not in half_edges:
+            raise DocumentError(
+                f"node line {u} lists node {v}, but node line {v} does not list node {u}"
+            )
+        if half_edges[v, u] != w:
+            raise DocumentError(f"edge {(min(u, v), max(u, v))} has asymmetric weights")
     edges = tuple(
-        GraphEdge(ids[u - 1], ids[v - 1], w) for (u, v), w in sorted(half_edges.items())
+        GraphEdge(ids[u - 1], ids[v - 1], w)
+        for (u, v), w in sorted(half_edges.items()) if u < v
     )
+    if len(edges) != m:
+        raise DocumentError(f"graph file lists {len(edges)} edges, header says {m}")
     caps = tuple(tuple(vec) for vec in part_capacities)
     if caps and any(len(vec) != ncon for vec in caps):
         raise DocumentError("part capacity vectors do not match the graph's ncon")

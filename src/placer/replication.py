@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .common import ValidationError
-from .evaluate import Placement, best_site, storage_usage
+from .evaluate import Placement, best_site, site_queries, storage_usage
 from .partition import PartitionConfig
 from .pipeline import plan_workload
 from .workload import Server, Workload, validate_capacity_lower_bounds
@@ -89,9 +89,7 @@ def heuristic1(w: Workload, cfg: ReplicationConfig) -> Placement:
     for t in w.tables:
         home = base.store[t.id][0]
         store[t.id] = tuple(sorted({perm[home] for perm in permutations}))
-    partial = Placement(store, {})
-    compute = {q.id: best_site(q, partial, w)[0] for q in w.queries}
-    return Placement(store, compute)
+    return site_queries(store, w)
 
 
 def heuristic2(w: Workload, cfg: ReplicationConfig) -> Placement:
@@ -119,9 +117,7 @@ def heuristic2(w: Workload, cfg: ReplicationConfig) -> Placement:
             remaining.sort(key=lambda q: (costs[q.id], q.id))
             remaining = remaining[drop:]
     store = {tid: tuple(sorted(copies)) for tid, copies in replica_sets.items()}
-    partial = Placement(store, {})
-    compute = {q.id: best_site(q, partial, w)[0] for q in w.queries}
-    return Placement(store, compute)
+    return site_queries(store, w)
 
 
 def max_part_size(p: Placement, w: Workload, factor: int = 1) -> tuple[int, Fraction]:

@@ -116,6 +116,15 @@ def test_oracle_gdp(capsys, gdp_file):
     assert "optimal cost: 16" in out
 
 
+def test_oracle_budget(capsys, gdp_file):
+    code, out, err = run(capsys, "oracle", gdp_file, "--budget", "1")
+    assert code == 0 and err == ""
+    assert "best found (budget exceeded): 16" in out
+    code, out, err = run(capsys, "oracle", gdp_file, "--budget", "0")
+    assert code == 1 and out == ""
+    assert err == "error: oracle budget must be at least 1 assignment, got 0\n"
+
+
 def test_gen_tpcds(capsys, tmp_path):
     out_path = tmp_path / "w.json"
     code, out, _ = run(capsys, "gen", "--shape", "tpcds", "--seed", "1",
@@ -276,6 +285,26 @@ def test_replicate_prints_warnings_as_notes(capsys, tmp_path):
     assert all(line.startswith("note: heuristic 1: ") for line in err.splitlines()), err
     assert ".py" not in err
     assert all(kind in err for kind in ("unequal", "largest-table", "aggregate-capacity"))
+
+
+def test_replicate_rejects_view_dag(capsys, tmp_path, gdp_file):
+    code, out, err = run(capsys, "replicate", gdp_file, "--replication", "1",
+                         "--out", tmp_path / "p.json")
+    assert code == 1 and out == ""
+    assert err == "error: replicate needs a plain workload\n"
+    assert not (tmp_path / "p.json").exists()
+
+
+def test_document_mixing_views_and_tables_rejected(capsys, tmp_path):
+    doc = json.loads(FIG2_DOC)
+    doc["views"] = []
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "plan", path, "--out", tmp_path / "p.json")
+    assert code == 1 and out == ""
+    assert err == ("error: document mixes view DAG sections ['views'] with "
+                   "workload sections ['queries', 'tables']\n")
+    assert not (tmp_path / "p.json").exists()
 
 
 def test_replicate_command(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -25,6 +26,7 @@ from helpers import (
     brute_force_gdp_cost,
     brute_force_partition_cut,
     brute_force_placement_cost,
+    cut_capacities,
     random_view_dag,
     random_workload,
 )
@@ -66,6 +68,63 @@ def test_pigeonhole_infeasible():
 def test_budget_exhaustion_flags_incomplete(fig2):
     result = optimal_placement(fig2, OracleLimit(1))
     assert not result.complete
+
+
+def test_gdp_budget_exhaustion_keeps_first_leaf(gdp_example):
+    # The first leaf is already optimal, but one leaf proves nothing.
+    result = optimal_gdp(gdp_example, OracleLimit(1))
+    assert not result.complete and result.feasible
+    assert result.cost == 16
+    assert gdp_cost(result.solution, gdp_example).total_cost == result.cost
+
+
+def test_partition_budget_exhaustion_keeps_first_leaf(fig2):
+    g = build_dp_graph(fig2)
+    result = optimal_partition(g, OracleLimit(1))
+    assert not result.complete and result.feasible
+    assert result.cost > optimal_partition(g).cost
+    assert set(result.solution.part_of) == {n.id for n in g.nodes}
+
+
+# One sha256 over (solution, cost, complete, feasible) of all three
+# oracles: 300 seeded instances, five budgets, four oracle calls each.
+# A refactor of the search must leave every result as it is.
+ORACLE_SHA256 = "eeafb9b32f25e09c6d509179b2aa1489daad1115870b64deb471cd3151e497bb"
+
+
+def _oracle_record(result) -> str:
+    sol = result.solution
+    if sol is None:
+        key = None
+    elif hasattr(sol, "part_of"):
+        key = sorted(sol.part_of.items())
+    else:
+        key = (sorted(sol.store.items()), sorted(sol.compute.items()))
+    return repr((key, result.cost, result.complete, result.feasible))
+
+
+def test_oracle_outputs_digest():
+    digest = hashlib.sha256()
+    for s in range(300):
+        rng = random.Random(7000 + s)
+        w = random_workload(rng, max_tables=6, max_queries=5, max_servers=3)
+        if s % 3 == 0:
+            w = cut_capacities(w, rng)
+        d = random_view_dag(rng)
+        if s % 3 == 1:
+            d = cut_capacities(d, rng)
+        g = build_dp_graph(w, with_load=s % 2)
+        contracted, _ = contract_infinite_edges(build_gdp_graph(d))
+        for budget in (1, 2, 5, 17, 10**8):
+            limit = OracleLimit(budget)
+            for result in (
+                optimal_placement(w, limit),
+                optimal_gdp(d, limit),
+                optimal_partition(g, limit),
+                optimal_partition(contracted, limit),
+            ):
+                digest.update(_oracle_record(result).encode())
+    assert digest.hexdigest() == ORACLE_SHA256
 
 
 def test_branch_and_bound_equals_enumeration():

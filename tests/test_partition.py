@@ -116,7 +116,12 @@ def test_infinite_edges_pass_the_contract_check():
     ("2 1 011 1\n1 2 3\n1 1 -3\n", "node line 2 gives node 1 edge weight -3, not > 0"),
     ("2 0 011 1\n1\n-1\n", "negative node weight on node line 2: '-1'"),
     ("2 0 011 2\n1 1\n1\n", "malformed node line 2: '1'"),
-], ids=["zero-edge", "negative-edge", "negative-back-edge", "negative-node", "node-width"])
+    ("2 1 011 1\n1 1 5\n1\n", "node line 1 lists itself as a neighbour (self-loop)"),
+    ("2 1 011 1\n1 2 5\n1\n",
+     "node line 1 lists node 2, but node line 2 does not list node 1"),
+    ("2 1 011 1\n1 2 5 2 5\n1 1 5\n", "node line 1 lists node 2 more than once"),
+], ids=["zero-edge", "negative-edge", "negative-back-edge", "negative-node", "node-width",
+        "self-loop", "one-sided-edge", "repeated-neighbour"])
 def test_parse_graph_rejects_bad_weights(text, message):
     with pytest.raises(DocumentError, match=re.escape(message)):
         parse_graph(text, ((9,), (9,)))
