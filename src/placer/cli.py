@@ -436,7 +436,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-max-ratio", help="target min/max load ratio (e.g. 0.75)")
     p.add_argument("--pin-views", action="store_true",
                    help="force materialized views to compute and store together")
-    p.add_argument("--slacks", help="comma-separated capacity slack factors")
+    p.add_argument("--slacks",
+                   help="comma-separated capacity slack factors (default "
+                        "0,1/18,1/9,1/6,2/9); each slack > 0 candidate is "
+                        "rebalanced to the true capacities")
     p.add_argument("--seeds", help="comma-separated partitioner seeds")
     p.add_argument("--out", help="placement output path")
     p.set_defaults(func=cmd_plan)

@@ -31,6 +31,7 @@ from .workload import (
     Workload,
     _as_id,
     _nonneg,
+    check_sections,
     document_entries,
     load_json_document,
     parse_server,
@@ -152,6 +153,7 @@ def _parse_arc(entry: dict) -> Arc:
 
 def parse_gdp(text: str) -> ViewDag:
     doc = load_json_document(text)
+    check_sections(doc, ("views", "arcs", "servers"))
     views = tuple(_parse_view(e) for e in document_entries(doc, "views"))
     arcs = tuple(_parse_arc(e) for e in document_entries(doc, "arcs"))
     servers = tuple(parse_server(e) for e in document_entries(doc, "servers"))

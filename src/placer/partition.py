@@ -4,11 +4,13 @@ Multilevel scheme: coarsen by heavy-edge matching, build an initial
 assignment by greedy weighted-bin growth over parts in descending
 capacity order, then refine with move-based local search at every level.
 Because exact feasibility is NP-hard the solver never fails on an
-overfull instance: it sweeps a set of capacity slack factors (and seeds)
-and returns the cheapest result that respects the true capacities.  When
-no candidate respects them it falls back to the violating candidate with
-the lowest cut (the smallest total excess only breaks cut ties), with
-violations itemized.
+overfull instance: it sweeps a set of capacity slack factors (and seeds),
+refines each candidate under its slackened capacities and then once more
+under the true ones (the final balancing step of multilevel
+partitioners), and returns the cheapest result that respects the true
+capacities.  When no candidate respects them it falls back to the
+violating candidate with the lowest cut (the smallest total excess only
+breaks cut ties), with violations itemized.
 
 Ties are always broken by lowest node id, then lowest part index, so a
 given (graph, config) pair yields one reproducible result.
@@ -36,10 +38,10 @@ __all__ = [
     "capacity_fractions",
 ]
 
-# Ten slack factors spanning 0..50% extra capacity, mirroring a sweep of
-# roughly ten balance tolerances with the best capacity-respecting
-# result kept.
-DEFAULT_SLACK_FACTORS = tuple(Fraction(i, 18) for i in range(10))
+# Five slack factors spanning 0..22% extra capacity (0, 1/18, ..., 4/18).
+# Every slack > 0 candidate is rebalanced to the true capacities; with
+# that step no larger slack won on the random and TPC-DS plans measured.
+DEFAULT_SLACK_FACTORS = tuple(Fraction(i, 18) for i in range(5))
 
 # Refinement passes per level, and the node count at which coarsening stops.
 REFINEMENT_PASSES = 10
@@ -314,7 +316,11 @@ def _move(mesh: _Mesh, part, loads, conn, u: int, to: int) -> None:
 def _repair_overloads(mesh: _Mesh, part, loads, caps, conn) -> bool:
     """Move nodes out of overfull parts; may raise the cut to gain room.
     The part with the largest total excess goes first, the lowest index
-    on ties."""
+    on ties.  Each step makes the fitting move of highest gain, the
+    lowest node and then the lowest part on ties.  Nodes and parts are
+    scanned in ascending order, so only a strictly higher gain can
+    displace the best move so far, and only such a move is checked for
+    fit; max(conn[u]) - conn[u][p] bounds every gain of node u in p."""
     l = len(caps)
     changed = False
     while True:
@@ -326,8 +332,7 @@ def _repair_overloads(mesh: _Mesh, part, loads, caps, conn) -> bool:
             excess[k] += x
         worst_p = excess.index(max(excess))
         over_dims = [d for k, d, _ in violations if k == worst_p]
-        best = None  # (gain, -u, -q)
-        best_u = best_q = -1
+        best_gain, best_u, best_q = -INFINITE, -1, -1
         for u in range(mesh.n):
             if part[u] != worst_p:
                 continue
@@ -336,13 +341,13 @@ def _repair_overloads(mesh: _Mesh, part, loads, caps, conn) -> bool:
                 continue
             cu = conn[u]
             base = cu[worst_p]
+            if max(cu) - base <= best_gain:
+                continue
             for q in range(l):
-                if q == worst_p or not _fits(loads[q], wu, caps[q]):
-                    continue
-                key = (cu[q] - base, -u, -q)
-                if best is None or key > best:
-                    best, best_u, best_q = key, u, q
-        if best is None:
+                gain = cu[q] - base
+                if q != worst_p and gain > best_gain and _fits(loads[q], wu, caps[q]):
+                    best_gain, best_u, best_q = gain, u, q
+        if best_u == -1:
             break
         _move(mesh, part, loads, conn, best_u, best_q)
         changed = True
@@ -356,48 +361,60 @@ def _sequence_pass(mesh: _Mesh, part, loads, caps, conn) -> bool:
     cut.
 
     Candidate moves live in a lazily invalidated heap keyed by
-    (-gain, node, part, generation), so equal gains pop the lowest node
-    id first and then the lowest part index; moves target only parts
-    that hold a neighbour, which with positive edge weights are the
-    parts of nonzero connectivity.  Every move bumps the generation of
-    each unlocked neighbour and pushes its moves afresh, and a node only
-    moves when it is popped, after which it is locked.  So an entry whose
-    generation is current belongs to an unlocked node that has not moved
-    and whose neighbours have not moved since the push: its part, its
-    target part and its gain are still exact, and the pop needs no
-    re-check.  The pass aborts once a long run of tentative moves fails
-    to find a new best prefix, which keeps large levels cheap without
-    hurting the short escape sequences that matter.
+    (-gain, node, part, stamp), so equal gains pop the lowest node id
+    first and then the lowest part index; moves target only parts that
+    hold a neighbour, which with positive edge weights are the parts of
+    nonzero connectivity.  Each (node, part) move has a stamp, and an
+    entry is current while its stamp is.  When u moves from part a to
+    part b, an unlocked neighbour in a or b has every gain changed and
+    re-pushes all its moves; any other unlocked neighbour re-pushes only
+    its moves into a and b, whose gains changed, plus the moves that
+    failed to fit since its last re-push, since the move may have freed
+    room for them.  A re-push bumps the stamp.  A node only moves when
+    it is popped, after which it is locked.  So a current entry belongs
+    to an unlocked node that has not moved, its gain is exact, and the
+    pop needs no re-check.  The pass aborts once a long run of tentative
+    moves fails to find a new best prefix, which keeps large levels
+    cheap without hurting the short escape sequences that matter.
     """
-    adj = mesh.adj
+    adj, weights = mesh.adj, mesh.weights
     n = mesh.n
     parts = range(len(caps))
     stall_limit = 64 + n // 8
     locked = [False] * n
-    gen = [0] * n
-    heap: list[tuple[int, int, int, int]] = []
+    stamp = [[0] * len(caps) for _ in range(n)]
+    failed: list[list[int]] = [[] for _ in range(n)]  # parts that did not fit
+    heap = [
+        (conn[u][part[u]] - c, u, q, 0)
+        for u in range(n)
+        for q, c in enumerate(conn[u])
+        if c and q != part[u]
+    ]
+    heapq.heapify(heap)
+    heappush, heappop = heapq.heappush, heapq.heappop
 
-    def push(u: int) -> None:
-        cu, p, g = conn[u], part[u], gen[u]
-        base = cu[p]
-        for q in parts:
-            if cu[q] and q != p:
-                heapq.heappush(heap, (base - cu[q], u, q, g))
+    def push(v: int, targets) -> None:
+        cv, p, sv = conn[v], part[v], stamp[v]
+        base = cv[p]
+        for q in targets:
+            s = sv[q] = sv[q] + 1
+            if cv[q] and q != p:
+                heappush(heap, (base - cv[q], v, q, s))
 
-    for u in range(n):
-        push(u)
     trail: list[tuple[int, int]] = []  # (node, from)
     cum_gain = 0
     best_gain = 0
     best_len = 0
     stall = 0
     while heap and stall < stall_limit:
-        neg_gain, u, q, stamp = heapq.heappop(heap)
-        if locked[u] or stamp != gen[u]:
+        neg_gain, u, q, s = heappop(heap)
+        if locked[u] or s != stamp[u][q]:
             continue
-        if not _fits(loads[q], mesh.weights[u], caps[q]):
+        if not _fits(loads[q], weights[u], caps[q]):
+            failed[u].append(q)
             continue
-        trail.append((u, part[u]))
+        frm = part[u]
+        trail.append((u, frm))
         _move(mesh, part, loads, conn, u, q)
         locked[u] = True
         cum_gain -= neg_gain
@@ -408,9 +425,15 @@ def _sequence_pass(mesh: _Mesh, part, loads, caps, conn) -> bool:
         else:
             stall += 1
         for v, _ in adj[u]:
-            if not locked[v]:
-                gen[v] += 1
-                push(v)
+            if locked[v]:
+                continue
+            fv = failed[v]
+            if part[v] == frm or part[v] == q:
+                push(v, parts)
+            else:
+                push(v, {frm, q, *fv} if fv else (frm, q))
+            if fv:
+                failed[v] = []
     for u, frm in reversed(trail[best_len:]):
         _move(mesh, part, loads, conn, u, frm)
     return best_gain > 0
@@ -454,7 +477,11 @@ def partition(g: PartGraph, cfg: PartitionConfig | None = None) -> PartitionResu
     """Best assignment across the seed x slack sweep, deterministically.
 
     One sequential loop: each seed coarsens the graph once, then every
-    slack factor partitions that hierarchy.  Candidates that respect the
+    slack factor partitions that hierarchy under capacities scaled by
+    1 + slack.  A candidate whose scaled capacities differ from the true
+    ones is refined once more on the finest graph against the true
+    capacities, which restores balance at little cost to the cut; a
+    slack-0 candidate skips that step.  Candidates that respect the
     true capacities win over violating ones; within a feasibility class
     the lowest cut wins, then the smallest and fewest violations, then
     the earliest (slack, seed) pair.  So when every candidate violates a
@@ -469,13 +496,15 @@ def partition(g: PartGraph, cfg: PartitionConfig | None = None) -> PartitionResu
 
     ids, mesh = _mesh_of(g)
     caps_raw = g.part_capacities
+    true_caps = [tuple(vec) for vec in caps_raw]
     best = None
     for si, seed in enumerate(cfg.seeds):
         levels = _coarsen(mesh, seed)
         for fi, slack in enumerate(cfg.slack_factors):
-            part, loads = _run_candidate(
-                levels, _scaled_caps(caps_raw, slack), seed * 8191 + fi
-            )
+            caps = _scaled_caps(caps_raw, slack)
+            part, loads = _run_candidate(levels, caps, seed * 8191 + fi)
+            if caps != true_caps:
+                _refine(mesh, part, loads, true_caps)
             violations = _violations_of(loads, caps_raw)
             excess = sum(v[2] for v in violations)
             key = (1 if violations else 0, _cut_of(mesh, part), excess,

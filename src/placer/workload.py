@@ -104,6 +104,16 @@ def load_json_document(text: str) -> dict:
     return doc
 
 
+def check_sections(doc: dict, sections: tuple[str, ...]) -> None:
+    """Reject a top-level key outside `sections`: a misspelt section
+    would otherwise read as an empty one."""
+    for key in doc:
+        if key not in sections:
+            raise DocumentError(
+                f"unknown top-level key {key!r} (expected {', '.join(sections)})"
+            )
+
+
 def document_entries(doc: dict, key: str) -> list[dict]:
     entries = doc.get(key, [])
     if not isinstance(entries, list):
@@ -153,6 +163,7 @@ def _parse_query(entry: dict) -> Query:
 def parse_workload(text: str) -> Workload:
     """Parse and validate a workload document; all defaults materialized."""
     doc = load_json_document(text)
+    check_sections(doc, ("tables", "queries", "servers"))
     tables = tuple(_parse_table(e) for e in document_entries(doc, "tables"))
     queries = tuple(_parse_query(e) for e in document_entries(doc, "queries"))
     servers = tuple(parse_server(e) for e in document_entries(doc, "servers"))

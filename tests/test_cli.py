@@ -307,6 +307,25 @@ def test_document_mixing_views_and_tables_rejected(capsys, tmp_path):
     assert not (tmp_path / "p.json").exists()
 
 
+@pytest.mark.parametrize("doc, key, expected", [
+    ({"tabels": [{"id": "T1", "size": 2}], "queries": [],
+      "servers": [{"id": "S1", "storage_capacity": 4}]},
+     "tabels", "tables, queries, servers"),
+    ({"views": [{"id": "B1", "class": "base_table", "size": 2}],
+      "arc": [], "servers": [{"id": "S1", "storage_capacity": 4}]},
+     "arc", "views, arcs, servers"),
+])
+def test_unknown_top_level_key_rejected(capsys, tmp_path, doc, key, expected):
+    # A misspelt section of a workload or a view DAG must not read as an
+    # empty one.
+    path = tmp_path / "misspelt.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "plan", path, "--out", tmp_path / "p.json")
+    assert code == 1 and out == ""
+    assert err == f"error: unknown top-level key {key!r} (expected {expected})\n"
+    assert not (tmp_path / "p.json").exists()
+
+
 def test_replicate_command(capsys, tmp_path):
     from placer.generate import GenSpec, generate
     from placer.workload import serialize_workload

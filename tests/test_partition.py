@@ -33,9 +33,9 @@ def node(nid, *weights):
 
 def test_default_config():
     cfg = PartitionConfig()
-    assert len(cfg.slack_factors) == 10
+    assert len(cfg.slack_factors) == 5
     assert cfg.slack_factors[0] == 0
-    assert cfg.slack_factors[-1] == Fraction(1, 2)
+    assert cfg.slack_factors[-1] == Fraction(2, 9)
     assert len(cfg.seeds) == 4
 
 
@@ -159,6 +159,20 @@ def test_capacities_respected_when_feasible():
                 for d, load in enumerate(loads):
                     cap = g.part_capacities[k][d]
                     assert cap == INFINITE or load <= cap
+
+
+def test_slack_candidate_rebalanced_to_true_capacities():
+    # Refined under 1/18 slack and then rebalanced to the true
+    # capacities, the slack candidate is feasible and beats the slack-0
+    # candidate (cut 1760).
+    from placer.generate import GenSpec, generate
+
+    w = generate(GenSpec(shape="random", n_tables=40, n_queries=40, n_servers=8, seed=6))
+    result = partition(build_dp_graph(w), PartitionConfig(
+        seeds=(0,), slack_factors=(Fraction(0), Fraction(1, 18))))
+    assert result.slack == Fraction(1, 18)
+    assert result.cut_weight == 1744
+    assert not result.violations
 
 
 def test_quality_at_desk_scale():
