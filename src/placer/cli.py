@@ -34,6 +34,7 @@ from .reduction import PartGraph, build_dp_graph, build_gdp_graph, encode_big_m
 from .replication import ReplicationConfig, heuristic1, heuristic2, max_part_size
 from .workload import (
     Workload,
+    check_sections,
     load_json_document,
     parse_workload,
     serialize_workload,
@@ -108,6 +109,7 @@ def placement_from_document(text: str, instance: Workload | ViewDag) -> Placemen
     view, on both sides) must be placed, each copy list must name
     distinct servers of the instance, and each compute site one server."""
     doc = load_json_document(text)
+    check_sections(doc, ("store", "compute"))
     index = {s.id: k for k, s in enumerate(instance.servers)}
 
     def to_index(sid: object) -> int:

@@ -2,21 +2,24 @@
 
 Multilevel scheme: coarsen by heavy-edge matching, build an initial
 assignment by greedy weighted-bin growth over parts in descending
-capacity order, then refine with move-based local search at every level.
-Because exact feasibility is NP-hard the solver never fails on an
-overfull instance: it sweeps a set of capacity slack factors (and seeds),
-refines each candidate under its slackened capacities and then once more
-under the true ones (the final balancing step of multilevel
-partitioners), and returns the cheapest result that respects the true
-capacities.  When no candidate respects them it falls back to the
-violating candidate with the lowest cut (the smallest total excess only
-breaks cut ties), with violations itemized.
+capacity order, then refine with move-based local search at every level:
+each pass makes the best fitting move at every step, locks the node,
+stops after a run of moves without a new best prefix and rolls back to
+the best prefix.  Because exact feasibility is NP-hard the solver never
+fails on an overfull instance: it sweeps a set of capacity slack factors
+(and seeds), refines each candidate under its slackened capacities and
+then once more under the true ones (the final balancing step of
+multilevel partitioners), and returns the cheapest result that respects
+the true capacities.  When no candidate respects them it falls back to
+the violating candidate with the lowest cut (the smallest total excess
+only breaks cut ties), with violations itemized.
 
 Ties are always broken by lowest node id, then lowest part index, so a
 given (graph, config) pair yields one reproducible result.
 """
 from __future__ import annotations
 
+import bisect
 import heapq
 import random
 from dataclasses import dataclass
@@ -318,24 +321,28 @@ def _repair_overloads(mesh: _Mesh, part, loads, caps, conn) -> bool:
     The part with the largest total excess goes first, the lowest index
     on ties.  Each step makes the fitting move of highest gain, the
     lowest node and then the lowest part on ties.  Nodes and parts are
-    scanned in ascending order, so only a strictly higher gain can
+    scanned in ascending order (the overfull part's members come from
+    per-part node lists kept sorted), so only a strictly higher gain can
     displace the best move so far, and only such a move is checked for
     fit; max(conn[u]) - conn[u][p] bounds every gain of node u in p."""
     l = len(caps)
     changed = False
+    members = None  # ascending node list per part, built on first use
     while True:
         violations = _violations_of(loads, caps)
         if not violations:
             break
+        if members is None:
+            members = [[] for _ in range(l)]
+            for u in range(mesh.n):
+                members[part[u]].append(u)
         excess = [0] * l
         for k, _, x in violations:
             excess[k] += x
         worst_p = excess.index(max(excess))
         over_dims = [d for k, d, _ in violations if k == worst_p]
         best_gain, best_u, best_q = -INFINITE, -1, -1
-        for u in range(mesh.n):
-            if part[u] != worst_p:
-                continue
+        for u in members[worst_p]:
             wu = mesh.weights[u]
             if not any(wu[d] > 0 for d in over_dims):
                 continue
@@ -350,12 +357,15 @@ def _repair_overloads(mesh: _Mesh, part, loads, caps, conn) -> bool:
         if best_u == -1:
             break
         _move(mesh, part, loads, conn, best_u, best_q)
+        src = members[worst_p]
+        del src[bisect.bisect_left(src, best_u)]
+        bisect.insort(members[best_q], best_u)
         changed = True
     return changed
 
 
 def _sequence_pass(mesh: _Mesh, part, loads, caps, conn) -> bool:
-    """One move-sequence pass: tentatively apply the best feasible move
+    """One move-sequence pass: tentatively apply the best fitting move
     (even a worsening one), lock the node, and finally roll back to the
     best prefix seen.  Returns True when the kept prefix improves the
     cut.
@@ -368,22 +378,26 @@ def _sequence_pass(mesh: _Mesh, part, loads, caps, conn) -> bool:
     entry is current while its stamp is.  When u moves from part a to
     part b, an unlocked neighbour in a or b has every gain changed and
     re-pushes all its moves; any other unlocked neighbour re-pushes only
-    its moves into a and b, whose gains changed, plus the moves that
-    failed to fit since its last re-push, since the move may have freed
-    room for them.  A re-push bumps the stamp.  A node only moves when
-    it is popped, after which it is locked.  So a current entry belongs
-    to an unlocked node that has not moved, its gain is exact, and the
-    pop needs no re-check.  The pass aborts once a long run of tentative
-    moves fails to find a new best prefix, which keeps large levels
-    cheap without hurting the short escape sequences that matter.
+    its moves into a and b.  A re-push bumps the stamp.  A node only
+    moves when it is popped, after which it is locked.  So a current
+    entry belongs to an unlocked node that has not moved, and its gain
+    is exact.
+
+    A popped move into q that does not fit is parked on q with its
+    stamp.  A move into q can only start to fit when q loses load, so
+    after each move out of a the current parked moves into a that now
+    fit go back on the heap.  Every fitting move is therefore on the
+    heap, and each step makes the fitting move of highest gain, lowest
+    node and then lowest part.  The pass stops once 16 + n // 32
+    tentative moves in a row fail to find a new best prefix.
     """
     adj, weights = mesh.adj, mesh.weights
     n = mesh.n
     parts = range(len(caps))
-    stall_limit = 64 + n // 8
+    stall_limit = 16 + n // 32
     locked = [False] * n
     stamp = [[0] * len(caps) for _ in range(n)]
-    failed: list[list[int]] = [[] for _ in range(n)]  # parts that did not fit
+    parked: list[list[tuple]] = [[] for _ in parts]  # by target part
     heap = [
         (conn[u][part[u]] - c, u, q, 0)
         for u in range(n)
@@ -407,11 +421,12 @@ def _sequence_pass(mesh: _Mesh, part, loads, caps, conn) -> bool:
     best_len = 0
     stall = 0
     while heap and stall < stall_limit:
-        neg_gain, u, q, s = heappop(heap)
+        entry = heappop(heap)
+        neg_gain, u, q, s = entry
         if locked[u] or s != stamp[u][q]:
             continue
         if not _fits(loads[q], weights[u], caps[q]):
-            failed[u].append(q)
+            parked[q].append(entry)
             continue
         frm = part[u]
         trail.append((u, frm))
@@ -427,13 +442,21 @@ def _sequence_pass(mesh: _Mesh, part, loads, caps, conn) -> bool:
         for v, _ in adj[u]:
             if locked[v]:
                 continue
-            fv = failed[v]
             if part[v] == frm or part[v] == q:
                 push(v, parts)
             else:
-                push(v, {frm, q, *fv} if fv else (frm, q))
-            if fv:
-                failed[v] = []
+                push(v, (frm, q))
+        if parked[frm]:
+            load, cap, waiting = loads[frm], caps[frm], []
+            for e in parked[frm]:
+                v = e[1]
+                if locked[v] or e[3] != stamp[v][frm]:
+                    continue
+                if _fits(load, weights[v], cap):
+                    heappush(heap, e)
+                else:
+                    waiting.append(e)
+            parked[frm] = waiting
     for u, frm in reversed(trail[best_len:]):
         _move(mesh, part, loads, conn, u, frm)
     return best_gain > 0

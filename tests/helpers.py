@@ -4,14 +4,14 @@ The enumerators here evaluate the cost definitions directly from the
 domain data (no calls into the oracle or evaluation modules) so they can
 serve as the other side of equality checks.  The reference refinement
 recomputes each node's part connectivity from its adjacency list on
-every use, the plain form of what the partitioner keeps incrementally.
+every use, and its pass scans every candidate move at every step: the
+plain form of what the partitioner keeps incrementally and in a heap.
 `solve_ip` is the independent reference for the integer programs: it
 hands a model to scipy's HiGHS MILP solver, which shares no code with
 the oracle module.
 """
 from __future__ import annotations
 
-import heapq
 import itertools
 import random
 from dataclasses import replace
@@ -312,43 +312,32 @@ def reference_repair_overloads(mesh, part, loads, caps) -> bool:
 
 
 def reference_sequence_pass(mesh, part, loads, caps) -> bool:
-    """One move-sequence pass that re-checks every popped move against
-    connectivity recomputed from scratch."""
-    adj = mesh.adj
+    """One move-sequence pass by brute force, with no heap and no stamps:
+    each step scans every unlocked node and every part it has an edge
+    into, with connectivity rebuilt from scratch, and makes the fitting
+    move of highest (gain, -node, -part)."""
     n = mesh.n
-    stall_limit = 64 + n // 8
+    stall_limit = 16 + n // 32
     locked = [False] * n
-    gen = [0] * n
-    heap: list[tuple[int, int, int, int]] = []
-
-    def push(u: int) -> None:
-        conn = reference_conn(mesh, part, u)
-        base = conn.pop(part[u], 0)
-        for q, c in conn.items():
-            heapq.heappush(heap, (base - c, u, q, gen[u]))
-
-    for u in range(n):
-        if adj[u]:
-            push(u)
     trail: list[tuple[int, int]] = []  # (node, from)
     cum_gain = 0
     best_gain = 0
     best_len = 0
     stall = 0
-    while heap and stall < stall_limit:
-        neg_gain, u, q, stamp = heapq.heappop(heap)
-        if locked[u] or stamp != gen[u] or part[u] == q:
-            continue
-        conn = reference_conn(mesh, part, u)
-        if q not in conn:
-            continue
-        gain = conn[q] - conn.get(part[u], 0)
-        if gain != -neg_gain:
-            gen[u] += 1
-            push(u)
-            continue
-        if not _fits(loads[q], mesh.weights[u], caps[q]):
-            continue
+    while stall < stall_limit:
+        best = None  # (gain, -u, -q)
+        for u in range(n):
+            if locked[u]:
+                continue
+            conn = reference_conn(mesh, part, u)
+            base = conn.pop(part[u], 0)
+            for q, c in conn.items():
+                key = (c - base, -u, -q)
+                if (best is None or key > best) and _fits(loads[q], mesh.weights[u], caps[q]):
+                    best = key
+        if best is None:
+            break
+        gain, u, q = best[0], -best[1], -best[2]
         trail.append((u, part[u]))
         reference_move(mesh, part, loads, u, q)
         locked[u] = True
@@ -359,10 +348,6 @@ def reference_sequence_pass(mesh, part, loads, caps) -> bool:
             stall = 0
         else:
             stall += 1
-        for v, _ in adj[u]:
-            if not locked[v]:
-                gen[v] += 1
-                push(v)
     for u, frm in reversed(trail[best_len:]):
         reference_move(mesh, part, loads, u, frm)
     return best_gain > 0

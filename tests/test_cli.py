@@ -382,6 +382,8 @@ GDP_SIDES = {f"V{j}": "S1" for j in range(1, 8)}
      "unknown server ['S1']"),
     ("fig2", json.dumps({"store": {**FIG2_STORE, "T1": ["S1", "S1"]}}),
      "name a server twice"),
+    ("fig2", json.dumps({"store": FIG2_STORE, "compute_": {"Q1": "S2"}}),
+     "unknown top-level key 'compute_' (expected store, compute)"),
     ("fig2", json.dumps({"store": FIG2_STORE, "compute": {"Q1": ["S1"]}}),
      "unknown server ['S1']"),
     ("fig2", json.dumps({

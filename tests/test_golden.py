@@ -25,12 +25,12 @@ from placer import (
     write_lp,
 )
 
-GOLDEN_SHA256 = "f0714a7ce59cab62108adfd2bea981f4769d041143790eff6d58ae3edd0fede8"
+GOLDEN_SHA256 = "c85b45ac551e75495b97ebf5623525e9e34ae61dbe56d4d6c50d340a002ce150"
 
 # The same plans swept at slack 0 only: a slack-0 candidate never takes
 # the true-capacity rebalance, so this digest pins the refinement pass
 # on its own.
-SLACK0_SHA256 = "17c9e22f0ff0669a86dbe53d9d01265046c564106245792abcc8bdc41eb20c29"
+SLACK0_SHA256 = "b825d2f1a7dbe46d8e8f51ffed97f91c44a6aa226afc79b59d9e08bbd6559ffe"
 
 FAST = PartitionConfig(seeds=(0, 1), slack_factors=(Fraction(0), Fraction(1, 4)))
 SLACK0 = PartitionConfig(slack_factors=(Fraction(0),))

@@ -2,6 +2,8 @@ import json
 import warnings
 from fractions import Fraction
 
+import pytest
+
 from placer.generate import GenSpec, generate
 from placer.ip import build_dp_ip, read_lp, write_lp
 from placer.oracle import optimal_gdp, optimal_placement
@@ -20,16 +22,37 @@ def test_plan_fig2_matches_oracle(fig2):
     assert not outcome.report.violations
 
 
+# Optima of random n x n workloads on 4 servers, keyed by (n, generator
+# seed), beyond the branch-and-bound oracle.  HiGHS proves them on the
+# exported LP text: the 10x10 ones in a few seconds each, the larger ones
+# in about 10 and 30 s, so only the slow test re-proves those.
+PROVEN_OPTIMA = {(10, 1): 406, (10, 2): 283, (10, 3): 289}
+SLOW_PROVEN_OPTIMA = {(12, 1): 584, (20, 1): 567}
+
+
+def _random_square(n: int, seed: int):
+    return generate(GenSpec(shape="random", n_tables=n, n_queries=n,
+                            n_servers=4, seed=seed))
+
+
+def _proven_optimum(w) -> int:
+    return solve_ip(read_lp(write_lp(build_dp_ip(w))))[0]
+
+
 def test_plan_within_five_percent_of_proven_optimum():
-    # 10x10 on 4 servers is beyond the branch-and-bound oracle; HiGHS
-    # proves these optima on the exported LP text in a few seconds each.
-    for seed, optimum in ((1, 406), (2, 283), (3, 289)):
-        w = generate(GenSpec(shape="random", n_tables=10, n_queries=10,
-                             n_servers=4, seed=seed))
-        assert solve_ip(read_lp(write_lp(build_dp_ip(w))))[0] == optimum
+    for (n, seed), optimum in {**PROVEN_OPTIMA, **SLOW_PROVEN_OPTIMA}.items():
+        w = _random_square(n, seed)
+        if (n, seed) in PROVEN_OPTIMA:
+            assert _proven_optimum(w) == optimum
         report = plan_workload(w).report
         assert not report.violations
         assert report.total_cost <= 1.05 * optimum
+
+
+@pytest.mark.slow
+def test_larger_optima_are_proven():
+    for (n, seed), optimum in SLOW_PROVEN_OPTIMA.items():
+        assert _proven_optimum(_random_square(n, seed)) == optimum
 
 
 def test_plan_single_server(fig2):
