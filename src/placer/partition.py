@@ -3,23 +3,23 @@
 Multilevel scheme: coarsen by heavy-edge matching, build an initial
 assignment by greedy weighted-bin growth over parts in descending
 capacity order, then refine with move-based local search at every level:
-each pass makes the best fitting move at every step, locks the node,
-stops after a run of moves without a new best prefix and rolls back to
-the best prefix.  Because exact feasibility is NP-hard the solver never
-fails on an overfull instance: it sweeps a set of capacity slack factors
-(and seeds), refines each candidate under its slackened capacities and
-then once more under the true ones (the final balancing step of
-multilevel partitioners), and returns the cheapest result that respects
-the true capacities.  When no candidate respects them it falls back to
-the violating candidate with the lowest cut (the smallest total excess
-only breaks cut ties), with violations itemized.
+each pass makes the best fitting move at every step, moves out of
+overfull parts first, locks the node, stops after a run of moves without
+a new best prefix and rolls back to the best prefix, the one of least
+total excess and then lowest cut.  Because exact feasibility is NP-hard
+the solver never fails on an overfull instance: it sweeps a set of
+capacity slack factors (and seeds), refines each candidate under its
+slackened capacities and then once more under the true ones (the final
+balancing step of multilevel partitioners), and returns the cheapest
+result that respects the true capacities.  When no candidate respects
+them it falls back to the violating candidate with the lowest cut (the
+smallest total excess only breaks cut ties), with violations itemized.
 
 Ties are always broken by lowest node id, then lowest part index, so a
 given (graph, config) pair yields one reproducible result.
 """
 from __future__ import annotations
 
-import bisect
 import heapq
 import random
 from dataclasses import dataclass
@@ -64,10 +64,14 @@ class PartitionConfig:
             raise ValidationError("slack_factors must be sorted ascending")
         if factors[0] < 0:
             raise ValidationError("slack_factors must be nonnegative")
+        if len(set(factors)) != len(factors):
+            raise ValidationError("slack_factors must be distinct")
         object.__setattr__(self, "slack_factors", factors)
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         if not self.seeds:
             raise ValidationError("seeds must be nonempty")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValidationError("seeds must be distinct")
 
 
 @dataclass(frozen=True)
@@ -316,63 +320,19 @@ def _move(mesh: _Mesh, part, loads, conn, u: int, to: int) -> None:
         cv[to] += w
 
 
-def _repair_overloads(mesh: _Mesh, part, loads, caps, conn) -> bool:
-    """Move nodes out of overfull parts; may raise the cut to gain room.
-    The part with the largest total excess goes first, the lowest index
-    on ties.  Each step makes the fitting move of highest gain, the
-    lowest node and then the lowest part on ties.  Nodes and parts are
-    scanned in ascending order (the overfull part's members come from
-    per-part node lists kept sorted), so only a strictly higher gain can
-    displace the best move so far, and only such a move is checked for
-    fit; max(conn[u]) - conn[u][p] bounds every gain of node u in p."""
-    l = len(caps)
-    changed = False
-    members = None  # ascending node list per part, built on first use
-    while True:
-        violations = _violations_of(loads, caps)
-        if not violations:
-            break
-        if members is None:
-            members = [[] for _ in range(l)]
-            for u in range(mesh.n):
-                members[part[u]].append(u)
-        excess = [0] * l
-        for k, _, x in violations:
-            excess[k] += x
-        worst_p = excess.index(max(excess))
-        over_dims = [d for k, d, _ in violations if k == worst_p]
-        best_gain, best_u, best_q = -INFINITE, -1, -1
-        for u in members[worst_p]:
-            wu = mesh.weights[u]
-            if not any(wu[d] > 0 for d in over_dims):
-                continue
-            cu = conn[u]
-            base = cu[worst_p]
-            if max(cu) - base <= best_gain:
-                continue
-            for q in range(l):
-                gain = cu[q] - base
-                if q != worst_p and gain > best_gain and _fits(loads[q], wu, caps[q]):
-                    best_gain, best_u, best_q = gain, u, q
-        if best_u == -1:
-            break
-        _move(mesh, part, loads, conn, best_u, best_q)
-        src = members[worst_p]
-        del src[bisect.bisect_left(src, best_u)]
-        bisect.insort(members[best_q], best_u)
-        changed = True
-    return changed
-
-
 def _sequence_pass(mesh: _Mesh, part, loads, caps, conn) -> bool:
     """One move-sequence pass: tentatively apply the best fitting move
     (even a worsening one), lock the node, and finally roll back to the
-    best prefix seen.  Returns True when the kept prefix improves the
-    cut.
+    best prefix seen.  Moves out of overfull parts come first, and the
+    best prefix is the one of least total excess, then highest gain.
+    Returns True when the kept prefix lowers the excess or the cut.
 
-    Candidate moves live in a lazily invalidated heap keyed by
-    (-gain, node, part, stamp), so equal gains pop the lowest node id
-    first and then the lowest part index; moves target only parts that
+    A move lowers the excess when its node sits in a part that is
+    overfull in a dimension where the node has weight.  Candidate moves
+    live in a lazily invalidated heap keyed by (not lowering, -gain,
+    node, part, stamp), so lowering moves pop first and equal gains pop
+    the lowest node id first and then the lowest part index.  A lowering
+    move may target any part; any other move targets only parts that
     hold a neighbour, which with positive edge weights are the parts of
     nonzero connectivity.  Each (node, part) move has a stamp, and an
     entry is current while its stamp is.  When u moves from part a to
@@ -383,26 +343,46 @@ def _sequence_pass(mesh: _Mesh, part, loads, caps, conn) -> bool:
     entry belongs to an unlocked node that has not moved, and its gain
     is exact.
 
+    A move enters only a part it fits, so no part becomes overfull and
+    an overfull part only sheds load: a move can stop lowering the
+    excess during the pass, but never start.  A popped lowering entry
+    whose node no longer lowers the excess is pushed again as an
+    ordinary move, or dropped when its target holds no neighbour.  Once
+    no part is overfull, every lowering entry is dropped at once and the
+    nodes that had them re-push their ordinary moves.
+
     A popped move into q that does not fit is parked on q with its
     stamp.  A move into q can only start to fit when q loses load, so
     after each move out of a the current parked moves into a that now
     fit go back on the heap.  Every fitting move is therefore on the
-    heap, and each step makes the fitting move of highest gain, lowest
-    node and then lowest part.  The pass stops once 16 + n // 32
-    tentative moves in a row fail to find a new best prefix.
+    heap, and each step makes the fitting move of highest (lowering,
+    gain, -node, -part).  The pass stops once 16 + n // 32 tentative
+    moves in a row fail to find a new best prefix.
     """
     adj, weights = mesh.adj, mesh.weights
     n = mesh.n
     parts = range(len(caps))
     stall_limit = 16 + n // 32
+    hot: list[list[int]] = [[] for _ in parts]  # per part, its overfull dimensions
+    excess = 0
+    for k, d, x in _violations_of(loads, caps):
+        hot[k].append(d)
+        excess += x
     locked = [False] * n
     stamp = [[0] * len(caps) for _ in range(n)]
     parked: list[list[tuple]] = [[] for _ in parts]  # by target part
+    lowering = set()
+    if excess:
+        lowering = {u for u in range(n) if any(weights[u][d] for d in hot[part[u]])}
     heap = [
-        (conn[u][part[u]] - c, u, q, 0)
-        for u in range(n)
-        for q, c in enumerate(conn[u])
-        if c and q != part[u]
+        (True, conn[u][part[u]] - c, u, q, 0)
+        for u in range(n) if u not in lowering
+        for q, c in enumerate(conn[u]) if c and q != part[u]
+    ]
+    heap += [
+        (False, conn[u][part[u]] - c, u, q, 0)
+        for u in lowering
+        for q, c in enumerate(conn[u]) if q != part[u]
     ]
     heapq.heapify(heap)
     heappush, heappop = heapq.heappush, heapq.heappop
@@ -410,31 +390,48 @@ def _sequence_pass(mesh: _Mesh, part, loads, caps, conn) -> bool:
     def push(v: int, targets) -> None:
         cv, p, sv = conn[v], part[v], stamp[v]
         base = cv[p]
+        lowers = hot[p] and any(weights[v][d] for d in hot[p])
         for q in targets:
             s = sv[q] = sv[q] + 1
-            if cv[q] and q != p:
-                heappush(heap, (base - cv[q], v, q, s))
+            if (cv[q] or lowers) and q != p:
+                heappush(heap, (not lowers, base - cv[q], v, q, s))
 
     trail: list[tuple[int, int]] = []  # (node, from)
     cum_gain = 0
-    best_gain = 0
+    best = (excess, 0)  # (excess, -gain) of the kept prefix
     best_len = 0
     stall = 0
     while heap and stall < stall_limit:
         entry = heappop(heap)
-        neg_gain, u, q, s = entry
+        ordinary, neg_gain, u, q, s = entry
         if locked[u] or s != stamp[u][q]:
             continue
-        if not _fits(loads[q], weights[u], caps[q]):
+        wu = weights[u]
+        if not ordinary and not any(wu[d] for d in hot[part[u]]):
+            if conn[u][q]:
+                heappush(heap, (True, neg_gain, u, q, s))
+            continue
+        if not _fits(loads[q], wu, caps[q]):
             parked[q].append(entry)
             continue
         frm = part[u]
         trail.append((u, frm))
+        if hot[frm]:
+            load, cap = loads[frm], caps[frm]
+            excess -= sum(min(wu[d], load[d] - cap[d]) for d in hot[frm])
+            hot[frm] = [d for d in hot[frm] if load[d] - wu[d] > cap[d]]
         _move(mesh, part, loads, conn, u, q)
         locked[u] = True
+        if lowering and not excess:  # no move lowers the excess any more
+            heap[:] = [e for e in heap if e[0]]
+            heapq.heapify(heap)
+            for v in lowering:
+                if not locked[v]:
+                    push(v, parts)
+            lowering = ()
         cum_gain -= neg_gain
-        if cum_gain > best_gain:
-            best_gain = cum_gain
+        if (excess, -cum_gain) < best:
+            best = (excess, -cum_gain)
             best_len = len(trail)
             stall = 0
         else:
@@ -449,8 +446,8 @@ def _sequence_pass(mesh: _Mesh, part, loads, caps, conn) -> bool:
         if parked[frm]:
             load, cap, waiting = loads[frm], caps[frm], []
             for e in parked[frm]:
-                v = e[1]
-                if locked[v] or e[3] != stamp[v][frm]:
+                v = e[2]
+                if locked[v] or e[4] != stamp[v][frm]:
                     continue
                 if _fits(load, weights[v], cap):
                     heappush(heap, e)
@@ -459,18 +456,17 @@ def _sequence_pass(mesh: _Mesh, part, loads, caps, conn) -> bool:
             parked[frm] = waiting
     for u, frm in reversed(trail[best_len:]):
         _move(mesh, part, loads, conn, u, frm)
-    return best_gain > 0
+    return best_len > 0
 
 
 def _refine(mesh: _Mesh, part, loads, caps) -> None:
-    """Move-based local search; never raises the cut while feasibility is
-    unchanged (overload repair is the only cut-increasing step).  The
-    part connectivity is built once here and kept current by _move."""
+    """Move-based local search: passes run until one keeps nothing, at
+    most REFINEMENT_PASSES of them.  No pass raises the total excess, and
+    none raises the cut unless it lowers the excess.  The part
+    connectivity is built once here and kept current by _move."""
     conn = _connectivity(mesh, part, len(caps))
     for _ in range(REFINEMENT_PASSES):
-        repaired = _repair_overloads(mesh, part, loads, caps, conn)
-        improved = _sequence_pass(mesh, part, loads, caps, conn)
-        if not improved and not repaired:
+        if not _sequence_pass(mesh, part, loads, caps, conn):
             break
 
 

@@ -265,6 +265,11 @@ def reference_move(mesh, part, loads, u: int, to: int) -> None:
     part[u] = to
 
 
+def reference_excess(loads, caps) -> int:
+    """Total load above capacity, summed over parts and dimensions."""
+    return sum(x for _, _, x in _violations_of(loads, caps))
+
+
 def reference_conn(mesh, part, u: int) -> dict[int, int]:
     """Part -> summed weight of u's edges into that part."""
     conn: dict[int, int] = {}
@@ -274,88 +279,57 @@ def reference_conn(mesh, part, u: int) -> dict[int, int]:
     return conn
 
 
-def reference_repair_overloads(mesh, part, loads, caps) -> bool:
-    """Move nodes out of overfull parts, worst part first, best-gain move
-    first (lowest node, then lowest part, on ties)."""
-    l = len(caps)
-    changed = False
-    while True:
-        violations = _violations_of(loads, caps)
-        if not violations:
-            break
-        excess = [0] * l
-        for k, _, x in violations:
-            excess[k] += x
-        worst_p = excess.index(max(excess))
-        over_dims = [d for k, d, _ in violations if k == worst_p]
-        best = None  # (gain, -u, -q)
-        best_u = best_q = -1
-        for u in range(mesh.n):
-            if part[u] != worst_p:
-                continue
-            wu = mesh.weights[u]
-            if not any(wu[d] > 0 for d in over_dims):
-                continue
-            conn = reference_conn(mesh, part, u)
-            base = conn.get(worst_p, 0)
-            for q in range(l):
-                if q == worst_p or not _fits(loads[q], wu, caps[q]):
-                    continue
-                key = (conn.get(q, 0) - base, -u, -q)
-                if best is None or key > best:
-                    best, best_u, best_q = key, u, q
-        if best is None:
-            break
-        reference_move(mesh, part, loads, best_u, best_q)
-        changed = True
-    return changed
-
-
 def reference_sequence_pass(mesh, part, loads, caps) -> bool:
-    """One move-sequence pass by brute force, with no heap and no stamps:
-    each step scans every unlocked node and every part it has an edge
-    into, with connectivity rebuilt from scratch, and makes the fitting
-    move of highest (gain, -node, -part)."""
-    n = mesh.n
+    """One move-sequence pass by brute force, with no heap, stamps or
+    incremental excess: each step scans every unlocked node, with its
+    connectivity and its part's overfull dimensions rebuilt from
+    scratch, and makes the fitting move of highest (lowers, gain, -node,
+    -part).  A node lowers the excess when its part is overfull in a
+    dimension where it has weight; it may then move to any part, and
+    otherwise only to a part it has an edge into.  The kept prefix is
+    the one of least (excess, -gain)."""
+    n, l = mesh.n, len(caps)
     stall_limit = 16 + n // 32
     locked = [False] * n
     trail: list[tuple[int, int]] = []  # (node, from)
     cum_gain = 0
-    best_gain = 0
+    best = (reference_excess(loads, caps), 0)
     best_len = 0
     stall = 0
     while stall < stall_limit:
-        best = None  # (gain, -u, -q)
+        over = {(k, d) for k, d, _ in _violations_of(loads, caps)}
+        pick = None  # (lowers, gain, -u, -q)
         for u in range(n):
             if locked[u]:
                 continue
+            wu, p = mesh.weights[u], part[u]
+            lowers = any(wu[d] > 0 and (p, d) in over for d in range(mesh.ncon))
             conn = reference_conn(mesh, part, u)
-            base = conn.pop(part[u], 0)
-            for q, c in conn.items():
-                key = (c - base, -u, -q)
-                if (best is None or key > best) and _fits(loads[q], mesh.weights[u], caps[q]):
-                    best = key
-        if best is None:
+            base = conn.get(p, 0)
+            for q in range(l) if lowers else conn:
+                key = (lowers, conn.get(q, 0) - base, -u, -q)
+                if q != p and (pick is None or key > pick) and _fits(loads[q], wu, caps[q]):
+                    pick = key
+        if pick is None:
             break
-        gain, u, q = best[0], -best[1], -best[2]
+        gain, u, q = pick[1], -pick[2], -pick[3]
         trail.append((u, part[u]))
         reference_move(mesh, part, loads, u, q)
         locked[u] = True
         cum_gain += gain
-        if cum_gain > best_gain:
-            best_gain = cum_gain
+        key = (reference_excess(loads, caps), -cum_gain)
+        if key < best:
+            best = key
             best_len = len(trail)
             stall = 0
         else:
             stall += 1
     for u, frm in reversed(trail[best_len:]):
         reference_move(mesh, part, loads, u, frm)
-    return best_gain > 0
+    return best_len > 0
 
 
 def reference_refine(mesh, part, loads, caps) -> None:
     for _ in range(REFINEMENT_PASSES):
-        repaired = reference_repair_overloads(mesh, part, loads, caps)
-        improved = reference_sequence_pass(mesh, part, loads, caps)
-        if not improved and not repaired:
+        if not reference_sequence_pass(mesh, part, loads, caps):
             break

@@ -420,6 +420,8 @@ def test_cost_rejects_malformed_placement(capsys, tmp_path, fig2_file, gdp_file,
     (["plan", "FIG2", "--min-max-ratio", "2"], "must lie in [0, 1], got 2"),
     (["plan", "FIG2", "--format", "xml"], "invalid choice: 'xml'"),
     (["plan"], "the following arguments are required: input"),
+    (["plan", "FIG2", "--seeds", "1,1"], "seeds must be distinct"),
+    (["plan", "FIG2", "--slacks", "0,0"], "slack_factors must be distinct"),
 ])
 def test_plan_rejects_bad_arguments(capsys, tmp_path, fig2_file, argv, message):
     # Exit code 2 means capacity violations, so usage errors exit 1 too.

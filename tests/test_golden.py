@@ -25,12 +25,12 @@ from placer import (
     write_lp,
 )
 
-GOLDEN_SHA256 = "c85b45ac551e75495b97ebf5623525e9e34ae61dbe56d4d6c50d340a002ce150"
+GOLDEN_SHA256 = "922b004597a996bf081b932ea9e3d5f4f9f26da26e52e20c67715f4e741817a2"
 
 # The same plans swept at slack 0 only: a slack-0 candidate never takes
 # the true-capacity rebalance, so this digest pins the refinement pass
 # on its own.
-SLACK0_SHA256 = "b825d2f1a7dbe46d8e8f51ffed97f91c44a6aa226afc79b59d9e08bbd6559ffe"
+SLACK0_SHA256 = "c7ffe6daf43e6b070d01c5dcfb95c28c8d404780a05e912f42fe38467639aec0"
 
 FAST = PartitionConfig(seeds=(0, 1), slack_factors=(Fraction(0), Fraction(1, 4)))
 SLACK0 = PartitionConfig(slack_factors=(Fraction(0),))
