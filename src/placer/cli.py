@@ -105,12 +105,20 @@ def placement_to_document(p: Placement, server_ids: list[str]) -> str:
 
 
 def placement_from_document(text: str, instance: Workload | ViewDag) -> Placement:
-    """Read a placement document for an instance.  Every table (every
-    view, on both sides) must be placed, each copy list must name
-    distinct servers of the instance, and each compute site one server."""
+    """Read a placement document for an instance.  `store` keys must be
+    tables and `compute` keys queries (views, on both sides, for a view
+    DAG).  Every table (every view, on both sides) must be placed, each
+    copy list must name distinct servers of the instance, and each
+    compute site one server."""
     doc = load_json_document(text)
     check_sections(doc, ("store", "compute"))
     index = {s.id: k for k, s in enumerate(instance.servers)}
+    if isinstance(instance, ViewDag):
+        views = [v.id for v in instance.views]
+        objects = {"store": ("view", views), "compute": ("view", views)}
+    else:
+        objects = {"store": ("table", [t.id for t in instance.tables]),
+                   "compute": ("query", [q.id for q in instance.queries])}
 
     def to_index(sid: object) -> int:
         if not isinstance(sid, str) or sid not in index:
@@ -121,6 +129,11 @@ def placement_from_document(text: str, instance: Workload | ViewDag) -> Placemen
         entries = doc.get(key, {})
         if not isinstance(entries, dict):
             raise DocumentError(f"placement {key!r} must be an object")
+        kind, ids = objects[key]
+        known = set(ids)
+        for oid in entries:
+            if oid not in known:
+                raise DocumentError(f"placement {key!r} names {oid!r}, which is not a {kind}")
         return entries
 
     store = {}
@@ -134,14 +147,10 @@ def placement_from_document(text: str, instance: Workload | ViewDag) -> Placemen
             raise DocumentError(f"copies of {oid!r} name a server twice")
         store[oid] = ks
     compute = {oid: to_index(sid) for oid, sid in section("compute").items()}
-    if isinstance(instance, ViewDag):
-        ids = [v.id for v in instance.views]
-        needed = (("store", store, ids), ("compute", compute, ids))
-    else:
-        needed = (("store", store, [t.id for t in instance.tables]),)
-    for key, placed, ids in needed:
-        for oid in ids:
-            if oid not in placed:
+    placed = {"store": store, "compute": compute}
+    for key in ("store", "compute") if isinstance(instance, ViewDag) else ("store",):
+        for oid in objects[key][1]:
+            if oid not in placed[key]:
                 raise DocumentError(f"placement {key!r} lacks {oid!r}")
     return Placement(store, compute)
 

@@ -1,19 +1,20 @@
 """Balanced k-way partitioning with per-part capacity vectors.
 
-Multilevel scheme: coarsen by heavy-edge matching, build an initial
-assignment by greedy weighted-bin growth over parts in descending
-capacity order, then refine with move-based local search at every level:
-each pass makes the best fitting move at every step, moves out of
-overfull parts first, locks the node, stops after a run of moves without
-a new best prefix and rolls back to the best prefix, the one of least
-total excess and then lowest cut.  Because exact feasibility is NP-hard
-the solver never fails on an overfull instance: it sweeps a set of
-capacity slack factors (and seeds), refines each candidate under its
-slackened capacities and then once more under the true ones (the final
-balancing step of multilevel partitioners), and returns the cheapest
-result that respects the true capacities.  When no candidate respects
-them it falls back to the violating candidate with the lowest cut (the
-smallest total excess only breaks cut ties), with violations itemized.
+Multilevel scheme: coarsen by heavy-edge matching, assign each node of
+the coarsest graph to a uniformly random part, then refine with
+move-based local search at every level: each pass makes the best fitting
+move at every step, moves out of overfull parts first, locks the node,
+stops after a run of moves without a new best prefix and rolls back to
+the best prefix, the one of least total excess and then lowest cut.
+There is no separate construction phase: the moves out of overfull parts
+balance the random start.  Because exact feasibility is NP-hard the
+solver never fails on an overfull instance: it sweeps a set of capacity
+slack factors (and seeds), refines each candidate under its slackened
+capacities and then once more under the true ones (the final balancing
+step of multilevel partitioners), and returns the cheapest result that
+respects the true capacities.  When no candidate respects them it falls
+back to the violating candidate with the lowest cut (the smallest total
+excess only breaks cut ties), with violations itemized.
 
 Ties are always broken by lowest node id, then lowest part index, so a
 given (graph, config) pair yields one reproducible result.
@@ -211,72 +212,6 @@ def _fits(load, weight, cap) -> bool:
     return True
 
 
-def _initial_assign(mesh: _Mesh, caps, rng: random.Random) -> list[int]:
-    """Greedy weighted-bin growth over parts in descending capacity order.
-
-    The seed node of each growth round is drawn from the few heaviest
-    unassigned nodes, which is what differentiates the sweep's seeds on
-    graphs too small to coarsen.
-    """
-    n, ncon, l = mesh.n, mesh.ncon, len(caps)
-    part = [-1] * n
-    loads = [[0] * ncon for _ in range(l)]
-    by_weight = sorted(range(n), key=lambda u: (tuple(-w for w in mesh.weights[u]), u))
-    part_order = sorted(range(l), key=lambda k: (tuple(-c for c in caps[k]), k))
-    unassigned = n
-    for k in part_order:
-        if unassigned == 0:
-            break
-        conn: dict[int, int] = {}  # unassigned node -> edge weight into part k
-        heap: list[tuple[int, int, int]] = []  # (-conn, -weight0, node)
-        while True:
-            pick = -1
-            while heap:
-                negc, negw, u = heapq.heappop(heap)
-                if part[u] != -1 or -negc != conn[u]:
-                    continue
-                if _fits(loads[k], mesh.weights[u], caps[k]):
-                    pick = u
-                break
-            if pick == -1:
-                fitting = [
-                    u for u in by_weight
-                    if part[u] == -1 and _fits(loads[k], mesh.weights[u], caps[k])
-                ]
-                if not fitting:
-                    break
-                pick = rng.choice(fitting[: max(1, min(4, len(fitting)))])
-            part[pick] = k
-            unassigned -= 1
-            for d in range(ncon):
-                loads[k][d] += mesh.weights[pick][d]
-            for v, w in mesh.adj[pick]:
-                if part[v] != -1:
-                    continue
-                c = conn[v] = conn.get(v, 0) + w
-                heapq.heappush(heap, (-c, -mesh.weights[v][0], v))
-    # Whatever could not be fitted lands on the part with the most headroom;
-    # the resulting overload is reported, not rejected.
-    for u in by_weight:
-        if part[u] != -1:
-            continue
-        best_k, best_margin = 0, None
-        for k in range(l):
-            margin = INFINITE
-            for d in range(ncon):
-                c = caps[k][d]
-                if c != INFINITE:
-                    m = c - loads[k][d] - mesh.weights[u][d]
-                    if m < margin:
-                        margin = m
-            if best_margin is None or margin > best_margin:
-                best_k, best_margin = k, margin
-        part[u] = best_k
-        for d in range(ncon):
-            loads[best_k][d] += mesh.weights[u][d]
-    return part
-
-
 def _loads_of(mesh: _Mesh, part: list[int], l: int) -> list[list[int]]:
     loads = [[0] * mesh.ncon for _ in range(l)]
     for u in range(mesh.n):
@@ -471,10 +406,12 @@ def _refine(mesh: _Mesh, part, loads, caps) -> None:
 
 
 def _run_candidate(levels, caps_scaled, seed: int) -> tuple[list[int], list[list[int]]]:
+    """Start from a uniformly random part per coarsest node, then refine
+    level by level; the first moves of refinement balance the start."""
     rng = random.Random(seed)
-    coarse = levels[-1][0]
-    part = _initial_assign(coarse, caps_scaled, rng)
-    loads = _loads_of(coarse, part, len(caps_scaled))
+    coarse, l = levels[-1][0], len(caps_scaled)
+    part = [rng.randrange(l) for _ in range(coarse.n)]
+    loads = _loads_of(coarse, part, l)
     _refine(coarse, part, loads, caps_scaled)
     for li in range(len(levels) - 1, 0, -1):
         cmap = levels[li][1]

@@ -99,6 +99,8 @@ def load_json_document(text: str) -> dict:
         raise DocumentError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise DocumentError("document nests too deeply") from None
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
     return doc

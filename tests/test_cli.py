@@ -398,6 +398,20 @@ GDP_SIDES = {f"V{j}": "S1" for j in range(1, 8)}
         "store": {k: [v] for k, v in GDP_SIDES.items() if k != "V1"},
         "compute": GDP_SIDES,
     }), "'store' lacks 'V1'"),
+    ("fig2", json.dumps({"store": {**FIG2_STORE, "Q1": ["S1"]}}),
+     "placement 'store' names 'Q1', which is not a table"),
+    ("fig2", json.dumps({"store": FIG2_STORE, "compute": {"q1": "S2"}}),
+     "placement 'compute' names 'q1', which is not a query"),
+    ("fig2", json.dumps({"store": FIG2_STORE, "compute": {"T1": "S2"}}),
+     "placement 'compute' names 'T1', which is not a query"),
+    ("gdp", json.dumps({
+        "store": {**{k: [v] for k, v in GDP_SIDES.items()}, "V8": ["S1"]},
+        "compute": GDP_SIDES,
+    }), "placement 'store' names 'V8', which is not a view"),
+    ("gdp", json.dumps({
+        "store": {k: [v] for k, v in GDP_SIDES.items()},
+        "compute": {**GDP_SIDES, "v1": "S1"},
+    }), "placement 'compute' names 'v1', which is not a view"),
 ])
 def test_cost_rejects_malformed_placement(capsys, tmp_path, fig2_file, gdp_file,
                                           instance, placement, message):

@@ -25,12 +25,12 @@ from placer import (
     write_lp,
 )
 
-GOLDEN_SHA256 = "922b004597a996bf081b932ea9e3d5f4f9f26da26e52e20c67715f4e741817a2"
+GOLDEN_SHA256 = "d020387f7430d1baf8308e6bc70279322b1ee147cfa9a8fca752f172885d8486"
 
 # The same plans swept at slack 0 only: a slack-0 candidate never takes
 # the true-capacity rebalance, so this digest pins the refinement pass
 # on its own.
-SLACK0_SHA256 = "c7ffe6daf43e6b070d01c5dcfb95c28c8d404780a05e912f42fe38467639aec0"
+SLACK0_SHA256 = "6462be1ccdcbf0c82518e4f0c119e78e637b740fb45ddb0fda3dbef9b493263b"
 
 FAST = PartitionConfig(seeds=(0, 1), slack_factors=(Fraction(0), Fraction(1, 4)))
 SLACK0 = PartitionConfig(slack_factors=(Fraction(0),))

@@ -168,14 +168,14 @@ def test_capacities_respected_when_feasible():
 def test_slack_candidate_rebalanced_to_true_capacities():
     # Refined under 1/18 slack and then rebalanced to the true
     # capacities, the slack candidate is feasible and beats the slack-0
-    # candidate (cut 1752).
+    # candidate (cut 1738).
     from placer.generate import GenSpec, generate
 
     w = generate(GenSpec(shape="random", n_tables=40, n_queries=40, n_servers=8, seed=6))
     result = partition(build_dp_graph(w), PartitionConfig(
         seeds=(0,), slack_factors=(Fraction(0), Fraction(1, 18))))
     assert result.slack == Fraction(1, 18)
-    assert result.cut_weight == 1744
+    assert result.cut_weight == 1707
     assert not result.violations
 
 
@@ -356,6 +356,29 @@ def test_fallback_excess_near_minimum():
     result = partition(build_dp_graph(w), PartitionConfig(seeds=(0,)))
     assert w.total_size() - 16 * 280 == 499
     assert 499 <= sum(x for _, _, x in result.violations) <= 500
+
+
+def test_unit_weights_at_exact_capacity_always_balance():
+    # Every candidate starts from a random assignment and only the moves
+    # out of overfull parts balance it.  With unit node weights and
+    # capacity n // l per part (exactly n in all), every single
+    # candidate must still end with no violation.
+    for n, l in ((12, 3), (48, 16), (64, 8), (192, 16), (300, 10)):
+        rng = random.Random(n * 1000 + l)
+        ids = [f"n{i:03d}" for i in range(n)]
+        weights = {}
+        for _ in range(3 * n):
+            u, v = sorted(rng.sample(range(n), 2))
+            weights[u, v] = rng.randint(1, 9)
+        g = PartGraph(
+            tuple(node(nid, 1) for nid in ids),
+            tuple(GraphEdge(ids[u], ids[v], w) for (u, v), w in sorted(weights.items())),
+            tuple((n // l,) for _ in range(l)),
+        )
+        for seed in range(10):
+            for slack in (Fraction(0), Fraction(2, 9)):
+                result = partition(g, PartitionConfig(seeds=(seed,), slack_factors=(slack,)))
+                assert not result.violations, (n, l, seed, slack)
 
 
 def test_violations_reported_not_fatal():

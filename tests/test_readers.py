@@ -226,3 +226,19 @@ def test_gdp_documents_plan_or_exit_one_line(fig2_path, doc):
             assert code == 1
             assert err.startswith("error: ") and err.count("\n") == 1
             assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, nested", [
+    ("plan", "[" * 100_000),
+    ("cost", '{"a":' * 100_000),
+])
+def test_deeply_nested_json_is_one_error_line(fig2_path, command, nested):
+    # json.loads raises RecursionError, not JSONDecodeError, on nesting
+    # deeper than the interpreter's recursion limit.
+    path = fig2_path.with_name(f"nested.{command}.json")
+    path.write_text(nested)
+    argv = {
+        "plan": ["plan", path, "--out", path.with_name("out.placement.json")],
+        "cost": ["cost", fig2_path, path],
+    }[command]
+    assert run_cli(*argv) == (1, "error: document nests too deeply\n")
