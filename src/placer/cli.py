@@ -78,15 +78,15 @@ def _graph(instance: Workload | ViewDag, with_load: bool) -> PartGraph:
 def _load_instance(text: str) -> Workload | ViewDag:
     """A view DAG when the document has views or arcs, else a plain
     workload; a document with sections of both kinds is rejected."""
-    probe = load_json_document(text)
-    dag_keys = sorted({"views", "arcs"} & probe.keys())
-    workload_keys = sorted({"tables", "queries"} & probe.keys())
+    doc = load_json_document(text)
+    dag_keys = sorted({"views", "arcs"} & doc.keys())
+    workload_keys = sorted({"tables", "queries"} & doc.keys())
     if dag_keys and workload_keys:
         raise DocumentError(
             f"document mixes view DAG sections {dag_keys} with workload "
             f"sections {workload_keys}"
         )
-    return parse_gdp(text) if dag_keys else parse_workload(text)
+    return parse_gdp(doc) if dag_keys else parse_workload(doc)
 
 
 def _server_ids(obj: Workload | ViewDag) -> list[str]:

@@ -32,9 +32,12 @@ from .workload import (
     _as_id,
     _nonneg,
     check_sections,
+    check_server_ids,
+    check_unique,
     document_entries,
     load_json_document,
     parse_server,
+    server_entry,
 )
 
 __all__ = [
@@ -151,8 +154,10 @@ def _parse_arc(entry: dict) -> Arc:
     return Arc(consumer, producer, cost)
 
 
-def parse_gdp(text: str) -> ViewDag:
-    doc = load_json_document(text)
+def parse_gdp(source: str | dict) -> ViewDag:
+    """Read a view-DAG document, given as text or as the object
+    `load_json_document` returned."""
+    doc = load_json_document(source) if isinstance(source, str) else source
     check_sections(doc, ("views", "arcs", "servers"))
     views = tuple(_parse_view(e) for e in document_entries(doc, "views"))
     arcs = tuple(_parse_arc(e) for e in document_entries(doc, "arcs"))
@@ -163,18 +168,13 @@ def parse_gdp(text: str) -> ViewDag:
 
 
 def validate_view_dag(d: ViewDag) -> None:
-    by_id: dict[str, View] = {}
-    for v in d.views:
-        if v.id in by_id:
-            raise DocumentError(f"duplicate view id: {v.id!r}")
-        by_id[v.id] = v
-        if v.kind is ViewClass.BASE_TABLE and v.transfer_cost != INFINITE:
-            raise DocumentError(f"base table {v.id!r} must have infinite transfer cost")
-        if v.kind in (ViewClass.QUERY, ViewClass.INTERMEDIATE) and v.size != 0:
-            raise DocumentError(f"view {v.id!r} of class {v.kind.value} must have size 0")
-        _nonneg(v.size, f"size of view {v.id!r}")
-        _nonneg(v.exec_cost, f"exec_cost of view {v.id!r}")
-
+    """Check what no single entry shows: unique view ids, arcs that join
+    defined views once per pair, no base-table consumer or query
+    producer, no cycle, unique server ids and totals that fit 64 bits.
+    Each entry's reader checks its own fields, and `make_view` the
+    class rules."""
+    check_unique((v.id for v in d.views), "view id")
+    by_id = {v.id: v for v in d.views}
     seen_pairs: set[tuple[str, str]] = set()
     order = graphlib.TopologicalSorter()
     for a in d.arcs:
@@ -184,7 +184,6 @@ def validate_view_dag(d: ViewDag) -> None:
         if (a.consumer, a.producer) in seen_pairs:
             raise DocumentError(f"duplicate arc {a.consumer!r}->{a.producer!r}")
         seen_pairs.add((a.consumer, a.producer))
-        _nonneg(a.cost, f"cost of arc {a.consumer!r}->{a.producer!r}")
         if by_id[a.consumer].kind is ViewClass.BASE_TABLE:
             raise DocumentError(f"base table {a.consumer!r} cannot depend on other views")
         if by_id[a.producer].kind is ViewClass.QUERY:
@@ -200,12 +199,7 @@ def validate_view_dag(d: ViewDag) -> None:
         cycle = cycle[i:] + cycle[:i]
         raise DocumentError("cycle detected: " + " -> ".join(cycle + cycle[:1])) from None
 
-    # Placement documents name servers by id, so ids must be unique.
-    server_ids: set[str] = set()
-    for s in d.servers:
-        if s.id in server_ids:
-            raise DocumentError(f"duplicate server id: {s.id!r}")
-        server_ids.add(s.id)
+    check_server_ids(d.servers)
 
     total = sum(v.size for v in d.views)
     total += sum(a.cost for a in d.arcs)
@@ -233,13 +227,8 @@ def serialize_gdp(d: ViewDag) -> str:
             {"consumer": a.consumer, "producer": a.producer, "cost": a.cost}
             for a in d.arcs
         ],
-        "servers": [],
+        "servers": [server_entry(s) for s in d.servers],
     }
-    for s in d.servers:
-        entry = {"id": s.id, "storage_capacity": s.storage_capacity}
-        if s.load_capacity is not None:
-            entry["load_capacity"] = s.load_capacity
-        doc["servers"].append(entry)
     return json.dumps(doc, indent=2) + "\n"
 
 

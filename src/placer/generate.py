@@ -54,6 +54,10 @@ class GenSpec:
             raise ValidationError(f"query count must not be negative, got {self.n_queries}")
         if self.n_servers < 1:
             raise ValidationError("need at least one server")
+        if self.server_capacity is not None and self.server_capacity < 0:
+            raise ValidationError(
+                f"server capacity must not be negative, got {self.server_capacity}"
+            )
 
 
 def _draw_at_least_one(rng: Random, mean: float, stddev: float) -> int:

@@ -72,6 +72,8 @@ class IpModel:
                 raise ValidationError(f"undeclared variable {term.var!r} in objective")
         names = set()
         for c in self.constraints:
+            if not _NAME_RE.match(c.name):
+                raise ValidationError(f"invalid constraint name {c.name!r}")
             if c.name in names:
                 raise ValidationError(f"duplicate constraint name {c.name!r}")
             names.add(c.name)
@@ -300,8 +302,6 @@ def write_lp(m: IpModel) -> str:
         lines.append(" obj: 0 dummy0")
     lines.append("Subject To")
     for c in m.constraints:
-        if not _NAME_RE.match(c.name):
-            raise ValidationError(f"invalid constraint name {c.name!r}")
         body = _format_terms(c.terms) if c.terms else "0 dummy0"
         lines.append(f" {c.name}: {body} {c.relation} {c.rhs}")
     lines.append("Bounds")
@@ -414,5 +414,8 @@ def read_lp(text: str) -> IpModel:
                 i += 1
         else:
             raise DocumentError(f"unexpected section {lines[i]!r}")
-    return IpModel(sense, objective, tuple(constraints), tuple(binaries), tuple(reals))
+    try:
+        return IpModel(sense, objective, tuple(constraints), tuple(binaries), tuple(reals))
+    except ValidationError as exc:
+        raise DocumentError(str(exc)) from None
 

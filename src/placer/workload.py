@@ -15,6 +15,7 @@ unbounded.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .common import INT64_MAX, DocumentError
@@ -135,6 +136,14 @@ def parse_server(entry: dict) -> Server:
     return Server(sid, cap, load)
 
 
+def server_entry(s: Server) -> dict:
+    """A server's document entry; an unbounded load capacity is omitted."""
+    entry: dict = {"id": s.id, "storage_capacity": s.storage_capacity}
+    if s.load_capacity is not None:
+        entry["load_capacity"] = s.load_capacity
+    return entry
+
+
 def _parse_table(entry: dict) -> Table:
     tid = _as_id(entry.get("id"), "table id")
     return Table(tid, _nonneg(entry.get("size"), f"size of table {tid!r}"))
@@ -162,9 +171,10 @@ def _parse_query(entry: dict) -> Query:
     return Query(qid, tuple(refs), freq, exec_cost)
 
 
-def parse_workload(text: str) -> Workload:
-    """Parse and validate a workload document; all defaults materialized."""
-    doc = load_json_document(text)
+def parse_workload(source: str | dict) -> Workload:
+    """Read a workload document, given as text or as the object
+    `load_json_document` returned; all defaults materialized."""
+    doc = load_json_document(source) if isinstance(source, str) else source
     check_sections(doc, ("tables", "queries", "servers"))
     tables = tuple(_parse_table(e) for e in document_entries(doc, "tables"))
     queries = tuple(_parse_query(e) for e in document_entries(doc, "queries"))
@@ -174,24 +184,28 @@ def parse_workload(text: str) -> Workload:
     return w
 
 
-def validate_workload(w: Workload) -> None:
-    """Check id uniqueness, reference resolution, ranges and 64-bit totals."""
+def check_unique(ids: Iterable[str], what: str) -> None:
+    """Reject the first id that repeats; `what` names the kind of id."""
     seen: set[str] = set()
-    for t in w.tables:
-        if t.id in seen:
-            raise DocumentError(f"duplicate id: {t.id!r}")
-        seen.add(t.id)
-        _nonneg(t.size, f"size of table {t.id!r}")
-    table_ids = set(seen)
+    for i in ids:
+        if i in seen:
+            raise DocumentError(f"duplicate {what}: {i!r}")
+        seen.add(i)
+
+
+def check_server_ids(servers: tuple[Server, ...]) -> None:
+    """Placement documents name servers by id, so ids must be unique."""
+    check_unique((s.id for s in servers), "server id")
+
+
+def validate_workload(w: Workload) -> None:
+    """Check what no single entry shows: unique table and query ids (one
+    namespace), refs that name a defined table once per query, unique
+    server ids and totals that fit 64 bits.  Each entry's reader checks
+    its own fields."""
+    check_unique([t.id for t in w.tables] + [q.id for q in w.queries], "id")
+    table_ids = {t.id for t in w.tables}
     for q in w.queries:
-        if q.id in seen:
-            raise DocumentError(f"duplicate id: {q.id!r}")
-        seen.add(q.id)
-        if not q.refs:
-            raise DocumentError(f"query {q.id!r} has no refs")
-        if q.frequency < 1:
-            raise DocumentError(f"frequency of query {q.id!r} must be >= 1")
-        _nonneg(q.exec_cost, f"exec_cost of query {q.id!r}")
         used: set[str] = set()
         for r in q.refs:
             if r.table not in table_ids:
@@ -203,15 +217,7 @@ def validate_workload(w: Workload) -> None:
                     f"query {q.id!r} references table {r.table!r} more than once"
                 )
             used.add(r.table)
-            _nonneg(r.cost, f"cost of ref {q.id!r}->{r.table!r}")
-    server_ids: set[str] = set()
-    for s in w.servers:
-        if s.id in server_ids:
-            raise DocumentError(f"duplicate id: {s.id!r}")
-        server_ids.add(s.id)
-        _nonneg(s.storage_capacity, f"storage_capacity of server {s.id!r}")
-        if s.load_capacity is not None:
-            _nonneg(s.load_capacity, f"load_capacity of server {s.id!r}")
+    check_server_ids(w.servers)
 
     totals = [
         sum(t.size for t in w.tables),
@@ -228,7 +234,6 @@ def serialize_workload(w: Workload) -> str:
     doc: dict = {
         "tables": [{"id": t.id, "size": t.size} for t in w.tables],
         "queries": [],
-        "servers": [],
     }
     for q in w.queries:
         entry: dict = {
@@ -240,11 +245,7 @@ def serialize_workload(w: Workload) -> str:
         if q.exec_cost != sum(r.cost for r in q.refs):
             entry["exec_cost"] = q.exec_cost
         doc["queries"].append(entry)
-    for s in w.servers:
-        entry = {"id": s.id, "storage_capacity": s.storage_capacity}
-        if s.load_capacity is not None:
-            entry["load_capacity"] = s.load_capacity
-        doc["servers"].append(entry)
+    doc["servers"] = [server_entry(s) for s in w.servers]
     return json.dumps(doc, indent=2) + "\n"
 
 

@@ -149,6 +149,7 @@ def test_gen_deterministic(capsys, tmp_path):
     (("--tables", "0"), "at least one table"),
     (("--shape", "tpcds", "--tables", "5", "--queries", "-7"),
      "the tpcds shape has 24 tables and 99 queries, got 5 and -7"),
+    (("--capacity", "-5"), "server capacity must not be negative, got -5"),
 ])
 def test_gen_rejects_bad_counts(capsys, argv, message):
     code, out, err = run(capsys, "gen", *argv)

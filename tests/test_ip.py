@@ -229,3 +229,6 @@ def test_model_validation():
         IpModel("min", (), (), ("bad name",), ())
     with pytest.raises(ValidationError, match="twice"):
         IpModel("min", (), (), ("x",), ("x",))
+    with pytest.raises(ValidationError, match="invalid constraint name"):
+        IpModel("min", (), (IpConstraint("bad-name!", (IpTerm(1, "x"),), "<=", 1),),
+                ("x",), ())

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from placer.cli import main
 from placer.common import DocumentError
 from placer.gdp import parse_gdp
-from placer.ip import read_lp
+from placer.ip import read_lp, write_lp
 from placer.partition import parse_graph
+from placer.workload import parse_workload
 
 from conftest import FIG2_DOC
 
@@ -93,12 +94,23 @@ def test_plan_options_take_any_string(fig2_path, option, value):
 @given(text=st.text())
 @example(text="2 x 011 1\n")
 @example(text="Minimize\nSubject To\n c: 1 x <= abc\n")
+@example(text="Minimize\n obj: 1 x\nSubject To\nEnd\n")
+@example(text="Minimize\n obj: 1 x\nSubject To\n c: 1 x <= 1\n c: 1 x <= 2\n"
+              "Binary\n x\nEnd\n")
+@example(text="Minimize\n obj: 1 x\nSubject To\nBounds\n 0 <= x <= 1\n"
+              "Binary\n x\nEnd\n")
+@example(text="Minimize\n obj: 1 x\nSubject To\n bad-name!: 1 x <= 1\n"
+              "Binary\n x\nEnd\n")
 def test_graph_and_lp_readers_raise_only_document_errors(text):
-    for read in (read_graph, read_lp):
-        try:
-            read(text)
-        except DocumentError:
-            pass
+    # Whatever read_lp accepts, write_lp can write back.
+    try:
+        read_graph(text)
+    except DocumentError:
+        pass
+    try:
+        write_lp(read_lp(text))
+    except DocumentError:
+        pass
 
 
 VIEW_IDS = ["a", "b", "c", "d"]
@@ -242,3 +254,93 @@ def test_deeply_nested_json_is_one_error_line(fig2_path, command, nested):
         "cost": ["cost", fig2_path, path],
     }[command]
     assert run_cli(*argv) == (1, "error: document nests too deeply\n")
+
+
+WORKLOAD_FAULTS = [None, None, None, "negative size", "negative cost", "negative capacity",
+                   "zero frequency", "empty refs", "non-list refs", "string integer",
+                   "duplicate table", "duplicate query", "duplicate server",
+                   "undefined table", "repeated table", "overflow"]
+
+
+@st.composite
+def workload_documents(draw):
+    """A workload document of up to four tables, three queries and three
+    servers, often valid, else carrying one fault."""
+    tables = [{"id": f"T{j}", "size": draw(st.integers(0, 9))}
+              for j in range(1, draw(st.integers(1, 4)) + 1)]
+    queries = []
+    for i in range(1, draw(st.integers(0, 3)) + 1):
+        refs = draw(st.lists(st.sampled_from([t["id"] for t in tables]),
+                             min_size=1, unique=True))
+        query = {"id": f"Q{i}",
+                 "refs": [{"table": t, "cost": draw(st.integers(0, 9))} for t in refs]}
+        if draw(st.booleans()):
+            query["frequency"] = draw(st.integers(1, 3))
+        queries.append(query)
+    servers = [{"id": f"S{k}", "storage_capacity": draw(st.integers(0, 20))}
+               for k in range(1, draw(st.integers(1, 3)) + 1)]
+    extra = {"id": "Q9", "refs": [{"table": "T1", "cost": 1}]}
+    fault = draw(st.sampled_from(WORKLOAD_FAULTS))
+    if fault == "negative size":
+        tables[-1]["size"] = -1
+    elif fault == "negative cost":
+        extra["refs"][0]["cost"] = -1
+    elif fault == "negative capacity":
+        servers[-1]["storage_capacity"] = -1
+    elif fault == "zero frequency":
+        extra["frequency"] = 0
+    elif fault == "empty refs":
+        extra["refs"] = []
+    elif fault == "non-list refs":
+        extra["refs"] = extra["refs"][0]
+    elif fault == "string integer":
+        entry, key = draw(st.sampled_from([(tables[0], "size"), (extra["refs"][0], "cost"),
+                                           (servers[0], "storage_capacity")]))
+        entry[key] = str(entry[key])
+    elif fault == "duplicate table":
+        tables.append(dict(tables[0]))
+    elif fault == "duplicate query":
+        queries.append(dict(extra))
+    elif fault == "duplicate server":
+        servers.append(dict(servers[0]))
+    elif fault == "undefined table":
+        extra["refs"][0]["table"] = "T9"
+    elif fault == "repeated table":
+        extra["refs"].append(dict(extra["refs"][0]))
+    elif fault == "overflow":
+        if draw(st.booleans()):
+            tables += [{"id": "T8", "size": 2**62}, {"id": "T9", "size": 2**62}]
+        else:
+            extra["refs"][0]["cost"] = 2**62
+            extra["frequency"] = 2
+    return {"tables": tables, "queries": queries + [extra], "servers": servers}
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=workload_documents())
+def test_workload_documents_plan_or_exit_one_line(fig2_path, doc):
+    # A document parse_workload rejects makes plan exit 1 with one error
+    # line; any other document plans (exit 0 or 2).
+    path = fig2_path.with_name("fuzzed.workload.json")
+    path.write_text(json.dumps(doc))
+    try:
+        parse_workload(path.read_text())
+        valid = True
+    except DocumentError:
+        valid = False
+    code, err = run_cli("plan", path, "--out", path.with_name("out.placement.json"))
+    if valid:
+        assert code in (0, 2) and "error:" not in err
+    else:
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+def test_workload_duplicate_server_is_one_error_line(fig2_path):
+    doc = json.loads(FIG2_DOC)
+    doc["servers"].append(dict(doc["servers"][0]))
+    path = fig2_path.with_name("duplicate-server.json")
+    path.write_text(json.dumps(doc))
+    assert run_cli("plan", path, "--out", path.with_name("out.placement.json")) == (
+        1, f"error: duplicate server id: {doc['servers'][0]['id']!r}\n")

@@ -120,6 +120,10 @@ def test_round_trip_fig2():
     assert parse_workload(serialize_workload(w)) == w
 
 
+def test_parse_takes_text_or_decoded_document():
+    assert parse_workload(json.loads(FIG2_DOC)) == parse_workload(FIG2_DOC)
+
+
 ids = st.integers(1, 30).map(lambda n: f"id{n}")
 
 
