@@ -155,10 +155,6 @@ def placement_from_document(text: str, instance: Workload | ViewDag) -> Placemen
     return Placement(store, compute)
 
 
-def _fmt_cost(value) -> str:
-    return "inf" if value == INFINITE else str(value)
-
-
 def render_report(
     title: str,
     digest: str,
@@ -176,7 +172,7 @@ def render_report(
             "config": config_lines,
             "total_cost": None if report.total_cost == INFINITE else report.total_cost,
             "per_query": {
-                qid: {"site": server_ids[site], "cost": _fmt_cost(cost)}
+                qid: {"site": server_ids[site], "cost": str(cost)}
                 for qid, (site, cost) in sorted(report.per_query.items())
             },
             "per_server": [
@@ -191,13 +187,13 @@ def render_report(
     if fmt == "csv":
         lines = ["query,site,cost"]
         for qid, (site, cost) in sorted(report.per_query.items()):
-            lines.append(f"{qid},{server_ids[site]},{_fmt_cost(cost)}")
+            lines.append(f"{qid},{server_ids[site]},{cost}")
         return "\n".join(lines) + "\n"
     lines = [f"== {title} ==", f"input sha256: {digest}"]
     lines.extend(config_lines)
-    lines.append(f"total cost: {_fmt_cost(report.total_cost)}")
+    lines.append(f"total cost: {report.total_cost}")
     for qid, (site, cost) in sorted(report.per_query.items()):
-        lines.append(f"  {qid}: site {server_ids[site]} cost {_fmt_cost(cost)}")
+        lines.append(f"  {qid}: site {server_ids[site]} cost {cost}")
     for k, (st, ld) in enumerate(report.per_server):
         lines.append(f"  {server_ids[k]}: storage {st} load {ld}")
     if report.violations:
@@ -282,10 +278,10 @@ def cmd_plan(args) -> int:
         f"placement: {out_path}",
     ]
     ratios = []
-    for d in range(len(outcome.partition.per_part_loads[0]) if outcome.partition.per_part_loads else 0):
+    for d in range(len(outcome.partition.per_part_loads[0])):
         r = balance_ratio(outcome.partition, d)
         ratios.append("undefined" if r is None else str(r))
-    extra = [f"balance ratio: {ratios}"] if ratios else []
+    extra = [f"balance ratio: {ratios}"]
     extra.extend(f"warning: {wtext}" for wtext in outcome.warnings)
     timings = list(outcome.timings) + [("total", elapsed)]
     return _report(args, "plan", digest, config_lines, outcome.report, server_ids,

@@ -3,9 +3,11 @@ from __future__ import annotations
 
 import math
 
-# Transfer costs and edge weights may be infinite ("inf" in documents); an
-# infinite edge must never be cut.  Integer arithmetic stays exact as long as
-# no infinity is involved.
+# Transfer costs may be infinite ("inf" in documents), and so may the edge
+# weights built from them and the load capacity of a server that has none;
+# an infinite edge must never be cut.  Comparisons and sums treat INFINITE
+# as larger than every integer, so code carries it through unchanged; only
+# floor division, Fraction, JSON and the document writers test for it.
 INFINITE = math.inf
 
 # Documents whose totals do not fit a signed 64-bit integer are rejected so

@@ -191,17 +191,13 @@ def gdp_cost(p: Placement, d: ViewDag) -> CostReport:
         cs = p.compute[v.id]
         if cs in p.store[v.id]:
             continue
+        per_view[v.id][1] += v.transfer_cost
+        total += v.transfer_cost
         if v.transfer_cost == INFINITE:
             violations.append(
                 f"view {v.id!r}: computed on server {cs} but stored on "
                 f"{tuple(p.store[v.id])} with an immovable result"
             )
-            per_view[v.id][1] = INFINITE
-            total = INFINITE
-        else:
-            per_view[v.id][1] += v.transfer_cost
-            if total != INFINITE:
-                total += v.transfer_cost
     load = [0] * len(d.servers)
     for v in d.views:
         load[p.compute[v.id]] += v.exec_cost

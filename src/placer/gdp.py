@@ -204,7 +204,7 @@ def validate_view_dag(d: ViewDag) -> None:
     total = sum(v.size for v in d.views)
     total += sum(a.cost for a in d.arcs)
     total += sum(int(v.transfer_cost) for v in d.views if v.transfer_cost != INFINITE)
-    if total > INT64_MAX:
+    if total > INT64_MAX or sum(v.exec_cost for v in d.views) > INT64_MAX:
         raise DocumentError("view DAG totals overflow a signed 64-bit integer")
 
 

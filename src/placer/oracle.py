@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .common import INFINITE, ValidationError
+from .common import ValidationError
 from .evaluate import Placement, site_queries
 from .gdp import ViewDag
 from .reduction import PartGraph, PartitionAssignment
@@ -102,7 +102,7 @@ def optimal_placement(w: Workload, limit: OracleLimit = OracleLimit()) -> Oracle
     cost.
     """
     l = len(w.servers)
-    if l == 0:
+    if l == 0:  # the bound takes a minimum over servers
         if w.tables or w.queries:
             return OracleResult(None, None, True, False)
         return OracleResult(Placement({}, {}), 0, True, True)
@@ -147,10 +147,6 @@ def optimal_gdp(d: ViewDag, limit: OracleLimit = OracleLimit()) -> OracleResult:
     direct minimization.
     """
     l = len(d.servers)
-    if l == 0:
-        if d.views:
-            return OracleResult(None, None, True, False)
-        return OracleResult(Placement({}, {}), 0, True, True)
     views = list(d.views)
     order = sorted(views, key=lambda v: (-v.size, v.id))
     pos = {v.id: i for i, v in enumerate(order)}
@@ -165,8 +161,6 @@ def optimal_gdp(d: ViewDag, limit: OracleLimit = OracleLimit()) -> OracleResult:
         own = storage_of[v.id]
         best_cost, best_k = None, 0
         for k in range(l):
-            if v.transfer_cost == INFINITE and k != own:
-                continue
             cost = 0 if k == own else v.transfer_cost
             for pid, c in producers[v.id]:
                 if storage_of[pid] != k:
@@ -209,10 +203,6 @@ def optimal_partition(g: PartGraph, limit: OracleLimit = OracleLimit()) -> Oracl
     if g.has_infinite_edges():
         raise ValidationError("contract infinite edges before the partition oracle")
     l = len(g.part_capacities)
-    if l == 0:
-        if g.nodes:
-            return OracleResult(None, None, True, False)
-        return OracleResult(PartitionAssignment({}), 0, True, True)
     ncon = g.ncon
     order = sorted(g.nodes, key=lambda n: (-n.weights[0], n.id))
     index = {n.id: i for i, n in enumerate(order)}
@@ -237,13 +227,10 @@ def optimal_partition(g: PartGraph, limit: OracleLimit = OracleLimit()) -> Oracl
         weights = order[i].weights
         for k in range(l):
             room = remaining[k]
-            if any(
-                room[d] != INFINITE and room[d] < weights[d] for d in range(ncon)
-            ):
+            if any(room[d] < weights[d] for d in range(ncon)):
                 continue
             for d in range(ncon):
-                if room[d] != INFINITE:
-                    room[d] -= weights[d]
+                room[d] -= weights[d]
             part[i] = k
             partial += miss[i][k]
             _charge(miss, later[i], k, 1)
@@ -251,8 +238,7 @@ def optimal_partition(g: PartGraph, limit: OracleLimit = OracleLimit()) -> Oracl
             _charge(miss, later[i], k, -1)
             partial -= miss[i][k]
             for d in range(ncon):
-                if room[d] != INFINITE:
-                    room[d] += weights[d]
+                room[d] += weights[d]
 
     cost, assign, complete = _search(len(order), branch, bound, part.copy, limit)
     if assign is None:

@@ -150,9 +150,9 @@ def _coarsen_once(mesh: _Mesh, rng: random.Random) -> tuple[list[int], _Mesh]:
     for u in order:
         if mate[u] != -1:
             continue
-        best_v, best_w = -1, -1
+        best_v, best_w = -1, -1  # adj[u] is sorted by v: ties keep the lowest v
         for v, w in mesh.adj[u]:
-            if mate[v] == -1 and (w > best_w or (w == best_w and v < best_v)):
+            if mate[v] == -1 and w > best_w:
                 best_v, best_w = v, w
         if best_v == -1:
             mate[u] = u
@@ -206,8 +206,7 @@ def _scaled_caps(caps, slack: Fraction):
 
 def _fits(load, weight, cap) -> bool:
     for d in range(len(weight)):
-        c = cap[d]
-        if c != INFINITE and load[d] + weight[d] > c:
+        if load[d] + weight[d] > cap[d]:
             return False
     return True
 
@@ -224,7 +223,7 @@ def _violations_of(loads, caps):
     out = []
     for k, vec in enumerate(caps):
         for d, c in enumerate(vec):
-            if c != INFINITE and loads[k][d] > c:
+            if loads[k][d] > c:
                 out.append((k, d, loads[k][d] - c))
     return tuple(out)
 
@@ -486,18 +485,14 @@ def recompute_cut(g: PartGraph, a: PartitionAssignment) -> int | float:
     crosses parts."""
     part = a.part_of
     total: int | float = 0
-    infinite_cut = False
     for e in g.edges:
         try:
             pu, pv = part[e.u], part[e.v]
         except KeyError as exc:
             raise ValidationError(f"unassigned node: {exc.args[0]!r}") from exc
         if pu != pv:
-            if e.weight == INFINITE:
-                infinite_cut = True
-            else:
-                total += e.weight
-    return INFINITE if infinite_cut else total
+            total += e.weight
+    return total
 
 
 def balance_ratio(result: PartitionResult, constraint: int = 0) -> Fraction | None:

@@ -125,6 +125,19 @@ def test_oracle_budget(capsys, gdp_file):
     assert err == "error: oracle budget must be at least 1 assignment, got 0\n"
 
 
+@pytest.mark.parametrize("instance, optimum", [("fig2", 4), ("gdp", 16)])
+def test_oracle_out_reevaluates_to_optimum(capsys, tmp_path, fig2_file, gdp_file,
+                                           instance, optimum):
+    path = fig2_file if instance == "fig2" else gdp_file
+    out_path = tmp_path / "best.json"
+    code, out, _ = run(capsys, "oracle", path, "--out", out_path)
+    assert code == 0
+    assert f"optimal cost: {optimum}" in out and f"placement: {out_path}" in out
+    code, out, _ = run(capsys, "cost", path, out_path)
+    assert code == 0
+    assert f"total cost: {optimum}\n" in out
+
+
 def test_gen_tpcds(capsys, tmp_path):
     out_path = tmp_path / "w.json"
     code, out, _ = run(capsys, "gen", "--shape", "tpcds", "--seed", "1",
@@ -142,6 +155,14 @@ def test_gen_deterministic(capsys, tmp_path):
     run(capsys, "gen", "--shape", "random", "--tables", "30", "--queries", "20",
         "--seed", "3", "--out", b)
     assert a.read_text() == b.read_text()
+
+
+def test_gen_without_out_writes_to_stdout(capsys, tmp_path):
+    argv = ("gen", "--shape", "random", "--tables", "5", "--queries", "4", "--seed", "2")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    run(capsys, *argv, "--out", tmp_path / "w.json")
+    assert out == (tmp_path / "w.json").read_text()
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -173,6 +194,18 @@ def test_export_graph_big_m_note(capsys, tmp_path, gdp_file):
     assert "big-M" in err
     header = out_path.read_text().splitlines()[0]
     assert header == "14 15 011 1"
+
+
+def test_export_graph_load_without_load_capacities_splits_load_evenly(capsys, tmp_path):
+    doc = json.loads(FIG2_DOC)
+    for server, capacity in zip(doc["servers"], (2, 4, 6)):
+        server["storage_capacity"] = capacity
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "export-graph", path, "--load", "--out", tmp_path / "w.graph")
+    assert code == 0
+    # Per part: storage fraction, then load fraction.
+    assert "target fractions per part: 1/6/1/3 1/3/1/3 1/2/1/3\n" in out
 
 
 def test_import_partition_round_trip(capsys, tmp_path, fig2_file):
@@ -233,6 +266,14 @@ def test_export_ip_replication(capsys, tmp_path, fig2_file):
                      "--replication", "2", "--out", out_path)
     assert code == 0
     assert out_path.read_text().startswith("Maximize")
+
+
+def test_export_ip_rejects_replication_zero(capsys, tmp_path, fig2_file):
+    code, out, err = run(capsys, "export-ip", fig2_file, "--model", "replication",
+                         "--replication", "0", "--out", tmp_path / "x.lp")
+    assert code == 1 and out == ""
+    assert err == "error: replication factor must be >= 1\n"
+    assert not (tmp_path / "x.lp").exists()
 
 
 def test_export_ip_gdp(capsys, tmp_path, gdp_file):

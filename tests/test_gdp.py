@@ -114,6 +114,39 @@ def test_round_trip_worked_example(gdp_example):
     assert parse_gdp(serialize_gdp(gdp_example)) == gdp_example
 
 
+def test_round_trip_keeps_exec_cost():
+    d = parse_gdp(json.dumps({
+        "views": [{"id": "V1", "class": "base_table", "size": 2},
+                  {"id": "V2", "class": "query", "exec_cost": 7}],
+        "arcs": [{"consumer": "V2", "producer": "V1", "cost": 1}],
+        "servers": [{"id": "S1", "storage_capacity": 2}],
+    }))
+    assert [v.exec_cost for v in d.views] == [0, 7]
+    text = serialize_gdp(d)
+    assert '"exec_cost": 7' in text and text.count("exec_cost") == 1
+    assert parse_gdp(text) == d
+
+
+@pytest.mark.parametrize("views, arcs", [
+    # Sizes, arc costs and finite transfer costs share one total.
+    ([{"id": "V1", "class": "base_table", "size": 2**62},
+      {"id": "V2", "class": "base_table", "size": 2**62}], []),
+    ([{"id": "V1", "class": "base_table", "size": 2**62},
+      {"id": "V2", "class": "query", "transfer_cost": 2**62}],
+     [{"consumer": "V2", "producer": "V1", "cost": 1}]),
+    # Execution costs have a total of their own.
+    ([{"id": "V1", "class": "base_table", "size": 1},
+      {"id": "V2", "class": "query", "exec_cost": 2**64}], []),
+    ([{"id": "V1", "class": "query", "exec_cost": 2**62},
+      {"id": "V2", "class": "query", "exec_cost": 2**62}], []),
+])
+def test_overflow_rejected(views, arcs):
+    doc = {"views": views, "arcs": arcs,
+           "servers": [{"id": "S1", "storage_capacity": 1}]}
+    with pytest.raises(DocumentError, match="view DAG totals overflow"):
+        parse_gdp(json.dumps(doc))
+
+
 def test_lift_fig2(fig2):
     d = lift_workload(fig2)
     assert len(d.views) == 10

@@ -165,6 +165,23 @@ def test_gdp_ip_all_pinned_collapses_to_site_variables():
     assert any(c.name.startswith("pin_") for c in model.constraints)
 
 
+def test_gdp_ip_cost_zero_arc_has_no_cut_indicator():
+    d = parse_gdp(json.dumps({
+        "views": [
+            {"id": "V1", "class": "base_table", "size": 1},
+            {"id": "V2", "class": "base_table", "size": 1},
+            {"id": "V3", "class": "query"},
+        ],
+        "arcs": [{"consumer": "V3", "producer": "V1", "cost": 0},
+                 {"consumer": "V3", "producer": "V2", "cost": 2}],
+        "servers": [{"id": "S1", "storage_capacity": 2},
+                     {"id": "S2", "storage_capacity": 2}],
+    }))
+    model = build_gdp_ip(d)
+    assert [v for v in model.bounded_reals if v.startswith("cut_")] == ["cut_V3_V2"]
+    assert [t.var for t in model.objective] == ["cut_V3_V2"]
+
+
 def test_write_lp_sections():
     model = IpModel(
         "min",

@@ -5,9 +5,11 @@ import random
 import pytest
 
 from placer.common import ValidationError
-from placer.evaluate import dp_cost, gdp_cost
+from placer.evaluate import Placement, dp_cost, gdp_cost
+from placer.gdp import ViewClass, ViewDag, make_view
 from placer.oracle import (
     OracleLimit,
+    OracleResult,
     optimal_gdp,
     optimal_partition,
     optimal_placement,
@@ -16,6 +18,7 @@ from placer.reduction import (
     GraphEdge,
     GraphNode,
     PartGraph,
+    PartitionAssignment,
     build_dp_graph,
     build_gdp_graph,
     contract_infinite_edges,
@@ -63,6 +66,20 @@ def test_pigeonhole_infeasible():
     result = optimal_placement(w)
     assert result.complete and not result.feasible
     assert result.solution is None
+
+
+@pytest.mark.parametrize("limit", [OracleLimit(1), OracleLimit()])
+def test_no_servers(limit):
+    # With no servers there is nothing to branch on: one object to place
+    # is a complete, infeasible search, and an empty instance costs 0.
+    view = make_view("V1", ViewClass.BASE_TABLE, 1)
+    for result in (optimal_gdp(ViewDag((view,), (), ()), limit),
+                   optimal_partition(PartGraph((GraphNode("a", (1,)),), (), ()), limit)):
+        assert result == OracleResult(None, None, True, False)
+    assert optimal_gdp(ViewDag((), (), ()), limit) == OracleResult(
+        Placement({}, {}), 0, True, True)
+    assert optimal_partition(PartGraph((), (), ()), limit) == OracleResult(
+        PartitionAssignment({}), 0, True, True)
 
 
 def test_budget_exhaustion_flags_incomplete(fig2):

@@ -76,6 +76,17 @@ def test_two_isolated_nodes_two_unit_parts():
     assert sorted(result.assignment.part_of.values()) == [0, 1]
 
 
+def test_isolated_nodes_stop_coarsening():
+    # Nodes without edges have nothing to match, so coarsening stops at
+    # once above the floor of 64 nodes; the moves out of overfull parts
+    # still balance the random start.
+    g = PartGraph(tuple(node(f"n{i:03}", 1) for i in range(100)), (), ((25,),) * 4)
+    result = partition(g)
+    assert result.cut_weight == 0
+    assert not result.violations
+    assert result.per_part_loads == ((25,),) * 4
+
+
 def test_zero_parts_rejected(fig2):
     g = build_dp_graph(fig2)
     with pytest.raises(ValidationError):

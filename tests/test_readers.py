@@ -195,6 +195,14 @@ GDP_VALID = {
 }
 
 
+GDP_EXEC_OVERFLOW = {
+    "views": [{"id": "a", "class": "base_table", "size": 3},
+              {"id": "q", "class": "query", "exec_cost": 2**64}],
+    "arcs": [{"consumer": "q", "producer": "a", "cost": 1}],
+    "servers": ONE_SERVER,
+}
+
+
 def run_cli(*argv) -> tuple[int, str]:
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
@@ -213,6 +221,16 @@ def test_gdp_document_errors_name_the_fault(fig2_path, doc, message):
     for argv in (["plan", path, "--out", path.with_name("out.placement.json")],
                  ["oracle", path]):
         assert run_cli(*argv) == (1, message + "\n")
+
+
+def test_gdp_exec_cost_overflow_exits_one_line(fig2_path):
+    path = fig2_path.with_name("overflow.gdp.json")
+    path.write_text(json.dumps(GDP_EXEC_OVERFLOW))
+    out = path.with_name("overflow.out")
+    message = "error: view DAG totals overflow a signed 64-bit integer\n"
+    assert run_cli("plan", path, "--out", out) == (1, message)
+    assert run_cli("export-graph", path, "--load", "--out", out) == (1, message)
+    assert not out.exists()
 
 
 @settings(max_examples=100, deadline=None)
