@@ -23,6 +23,7 @@ from .generate import GenSpec, generate
 from .ip import build_dp_ip, build_gdp_ip, build_replication_ip, write_lp
 from .oracle import OracleLimit, optimal_gdp, optimal_placement
 from .partition import (
+    V_CYCLES,
     PartitionConfig,
     balance_ratio,
     capacity_fractions,
@@ -272,14 +273,18 @@ def cmd_plan(args) -> int:
               file=sys.stderr)
         return EXIT_ERROR
 
+    result = outcome.partition
     config_lines = [
         f"config: seeds={list(cfg.seeds)} slacks={[str(s) for s in cfg.slack_factors]}",
-        f"slack used: {outcome.partition.slack}",
+        f"slack used: {result.slack}",
+        f"seed used: {result.seed}",
+        f"v-cycles kept: {result.v_cycles_kept} of {V_CYCLES} "
+        f"({result.v_cycles_improved} improved)",
         f"placement: {out_path}",
     ]
     ratios = []
-    for d in range(len(outcome.partition.per_part_loads[0])):
-        r = balance_ratio(outcome.partition, d)
+    for d in range(len(result.per_part_loads[0])):
+        r = balance_ratio(result, d)
         ratios.append("undefined" if r is None else str(r))
     extra = [f"balance ratio: {ratios}"]
     extra.extend(f"warning: {wtext}" for wtext in outcome.warnings)
@@ -447,7 +452,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated capacity slack factors (default "
                         "0,1/18,1/9,1/6,2/9); each slack > 0 candidate is "
                         "rebalanced to the true capacities")
-    p.add_argument("--seeds", help="comma-separated partitioner seeds")
+    p.add_argument("--seeds",
+                   help="comma-separated partitioner seeds (default 0,1); the "
+                        "report's slack and seed name the sweep candidate the "
+                        "V-cycles started from")
     p.add_argument("--out", help="placement output path")
     p.set_defaults(func=cmd_plan)
 

@@ -201,10 +201,15 @@ def validate_view_dag(d: ViewDag) -> None:
 
     check_server_ids(d.servers)
 
-    total = sum(v.size for v in d.views)
-    total += sum(a.cost for a in d.arcs)
-    total += sum(int(v.transfer_cost) for v in d.views if v.transfer_cost != INFINITE)
-    if total > INT64_MAX or sum(v.exec_cost for v in d.views) > INT64_MAX:
+    lumped = sum(v.size for v in d.views)
+    lumped += sum(a.cost for a in d.arcs)
+    lumped += sum(int(v.transfer_cost) for v in d.views if v.transfer_cost != INFINITE)
+    totals = [
+        lumped,
+        sum(v.exec_cost for v in d.views),
+        sum(s.storage_capacity for s in d.servers),
+    ]
+    if any(total > INT64_MAX for total in totals):
         raise DocumentError("view DAG totals overflow a signed 64-bit integer")
 
 

@@ -11,10 +11,15 @@ balance the random start.  Because exact feasibility is NP-hard the
 solver never fails on an overfull instance: it sweeps a set of capacity
 slack factors (and seeds), refines each candidate under its slackened
 capacities and then once more under the true ones (the final balancing
-step of multilevel partitioners), and returns the cheapest result that
+step of multilevel partitioners), and picks the cheapest result that
 respects the true capacities.  When no candidate respects them it falls
 back to the violating candidate with the lowest cut (the smallest total
-excess only breaks cut ties), with violations itemized.
+excess only breaks cut ties), with violations itemized.  Iterated
+V-cycles then improve that winner (Walshaw 2004; KaFFPa, Sanders and
+Schulz 2011): the graph is coarsened again with matching restricted to
+nodes of one part, so the partition carries exactly onto every level,
+and refined back down under the true capacities.  A graph that does not
+coarsen gets one more round of refinement instead.
 
 Ties are always broken by lowest node id, then lowest part index, so a
 given (graph, config) pair yields one reproducible result.
@@ -51,11 +56,17 @@ DEFAULT_SLACK_FACTORS = tuple(Fraction(i, 18) for i in range(5))
 REFINEMENT_PASSES = 10
 COARSEN_FLOOR = 64
 
+# V-cycles run on the sweep's winner.  Each re-coarsens it within its
+# parts and refines it back down at the true capacities; with four, two
+# seeds beat the cut of a four-seed sweep on the random and TPC-DS plans
+# measured, in less time.
+V_CYCLES = 4
+
 
 @dataclass(frozen=True)
 class PartitionConfig:
     slack_factors: tuple[Fraction, ...] = DEFAULT_SLACK_FACTORS
-    seeds: tuple[int, ...] = (0, 1, 2, 3)
+    seeds: tuple[int, ...] = (0, 1)
 
     def __post_init__(self) -> None:
         factors = tuple(Fraction(s) for s in self.slack_factors)
@@ -82,8 +93,10 @@ class PartitionResult:
     per_part_loads: tuple[tuple[int, ...], ...]
     part_capacities: tuple[tuple[int | float, ...], ...]
     violations: tuple[tuple[int, int, int], ...]  # (part, constraint, excess)
-    slack: Fraction
+    slack: Fraction  # slack and seed of the sweep candidate the V-cycles started from
     seed: int
+    v_cycles_kept: int  # of V_CYCLES: results whose key is not higher
+    v_cycles_improved: int  # of those kept: results whose key is lower
 
 
 class _Mesh:
@@ -142,7 +155,9 @@ def _mesh_of(g: PartGraph) -> tuple[list[str], _Mesh]:
     return ids, _Mesh(ncon, [n.weights for n in order], edges)
 
 
-def _coarsen_once(mesh: _Mesh, rng: random.Random) -> tuple[list[int], _Mesh]:
+def _coarsen_once(mesh: _Mesh, rng: random.Random, part=None) -> tuple[list[int], _Mesh]:
+    """Heavy-edge matching in random node order.  With `part`, a node
+    matches only a neighbour of its own part."""
     n = mesh.n
     order = list(range(n))
     rng.shuffle(order)
@@ -152,7 +167,7 @@ def _coarsen_once(mesh: _Mesh, rng: random.Random) -> tuple[list[int], _Mesh]:
             continue
         best_v, best_w = -1, -1  # adj[u] is sorted by v: ties keep the lowest v
         for v, w in mesh.adj[u]:
-            if mate[v] == -1 and w > best_w:
+            if mate[v] == -1 and w > best_w and (part is None or part[v] == part[u]):
                 best_v, best_w = v, w
         if best_v == -1:
             mate[u] = u
@@ -183,17 +198,26 @@ def _coarsen_once(mesh: _Mesh, rng: random.Random) -> tuple[list[int], _Mesh]:
     return cmap, _Mesh(mesh.ncon, [tuple(w) for w in weights], edges)
 
 
-def _coarsen(mesh: _Mesh, seed: int) -> list[tuple[_Mesh, list[int] | None]]:
+def _coarsen(mesh: _Mesh, seed: int, part=None):
+    """The levels [(mesh, None), (coarser, cmap), ...] down to
+    COARSEN_FLOOR nodes, and `part` carried to the coarsest level.  With
+    `part`, only nodes of one part merge, so the partition projects
+    exactly: every level has the same loads and the same cut."""
     levels: list[tuple[_Mesh, list[int] | None]] = [(mesh, None)]
     rng = random.Random(seed)
     cur = mesh
     while cur.n > COARSEN_FLOOR:
-        cmap, coarse = _coarsen_once(cur, rng)
+        cmap, coarse = _coarsen_once(cur, rng, part)
         if coarse.n >= cur.n:
             break
+        if part is not None:
+            up = [0] * coarse.n
+            for u, c in enumerate(cmap):
+                up[c] = part[u]
+            part = up
         levels.append((coarse, cmap))
         cur = coarse
-    return levels
+    return levels, part
 
 
 def _scaled_caps(caps, slack: Fraction):
@@ -404,6 +428,18 @@ def _refine(mesh: _Mesh, part, loads, caps) -> None:
             break
 
 
+def _descend(levels, part, loads, caps) -> list[int]:
+    """Refine `part` on the coarsest level, then project it level by
+    level and refine each, down to the finest level."""
+    _refine(levels[-1][0], part, loads, caps)
+    for li in range(len(levels) - 1, 0, -1):
+        cmap = levels[li][1]
+        fine = levels[li - 1][0]
+        part = [part[cmap[u]] for u in range(fine.n)]
+        _refine(fine, part, loads, caps)
+    return part
+
+
 def _run_candidate(levels, caps_scaled, seed: int) -> tuple[list[int], list[list[int]]]:
     """Start from a uniformly random part per coarsest node, then refine
     level by level; the first moves of refinement balance the start."""
@@ -411,13 +447,17 @@ def _run_candidate(levels, caps_scaled, seed: int) -> tuple[list[int], list[list
     coarse, l = levels[-1][0], len(caps_scaled)
     part = [rng.randrange(l) for _ in range(coarse.n)]
     loads = _loads_of(coarse, part, l)
-    _refine(coarse, part, loads, caps_scaled)
-    for li in range(len(levels) - 1, 0, -1):
-        cmap = levels[li][1]
-        fine = levels[li - 1][0]
-        part = [part[cmap[u]] for u in range(fine.n)]
-        _refine(fine, part, loads, caps_scaled)
-    return part, loads
+    return _descend(levels, part, loads, caps_scaled), loads
+
+
+def _v_cycle(mesh: _Mesh, part, caps, seed: int) -> tuple[list[int], list[list[int]]]:
+    """Coarsen the graph again, merging only nodes of one part, and
+    refine `part` from the coarsest level down under `caps`.  The
+    projection keeps the loads and the cut, and no pass raises (excess,
+    cut), so neither does the cycle."""
+    levels, coarse_part = _coarsen(mesh, seed, part)
+    loads = _loads_of(mesh, part, len(caps))
+    return _descend(levels, coarse_part, loads, caps), loads
 
 
 def _cut_of(mesh: _Mesh, part) -> int:
@@ -429,7 +469,8 @@ def _cut_of(mesh: _Mesh, part) -> int:
 
 
 def partition(g: PartGraph, cfg: PartitionConfig | None = None) -> PartitionResult:
-    """Best assignment across the seed x slack sweep, deterministically.
+    """Best assignment across the seed x slack sweep and the V-cycles
+    after it, deterministically.
 
     One sequential loop: each seed coarsens the graph once, then every
     slack factor partitions that hierarchy under capacities scaled by
@@ -442,6 +483,12 @@ def partition(g: PartGraph, cfg: PartitionConfig | None = None) -> PartitionResu
     the earliest (slack, seed) pair.  So when every candidate violates a
     capacity the result is the one with the lowest cut, which need not
     be the least violating one.
+
+    The winner then goes through V_CYCLES V-cycles at the true
+    capacities, and each cycle's result replaces it when its key
+    (infeasible, cut, excess, violation count) is not higher.  The
+    result's slack and seed name the sweep candidate the V-cycles
+    started from.
     """
     cfg = cfg or PartitionConfig()
     if not g.part_capacities:
@@ -452,22 +499,33 @@ def partition(g: PartGraph, cfg: PartitionConfig | None = None) -> PartitionResu
     ids, mesh = _mesh_of(g)
     caps_raw = g.part_capacities
     true_caps = [tuple(vec) for vec in caps_raw]
-    best = None
-    for si, seed in enumerate(cfg.seeds):
-        levels = _coarsen(mesh, seed)
-        for fi, slack in enumerate(cfg.slack_factors):
-            caps = _scaled_caps(caps_raw, slack)
-            part, loads = _run_candidate(levels, caps, seed * 8191 + fi)
-            if caps != true_caps:
-                _refine(mesh, part, loads, true_caps)
-            violations = _violations_of(loads, caps_raw)
-            excess = sum(v[2] for v in violations)
-            key = (1 if violations else 0, _cut_of(mesh, part), excess,
-                   len(violations), fi, si)
-            if best is None or key < best[0]:
-                best = (key, part, loads, violations)
 
-    key, part, loads, violations = best
+    def rank(part, loads):
+        violations = _violations_of(loads, caps_raw)
+        excess = sum(v[2] for v in violations)
+        key = (1 if violations else 0, _cut_of(mesh, part), excess, len(violations))
+        return key, part, loads, violations
+
+    def sweep():
+        for si, seed in enumerate(cfg.seeds):
+            levels, _ = _coarsen(mesh, seed)
+            for fi, slack in enumerate(cfg.slack_factors):
+                caps = _scaled_caps(caps_raw, slack)
+                part, loads = _run_candidate(levels, caps, seed * 8191 + fi)
+                if caps != true_caps:
+                    _refine(mesh, part, loads, true_caps)
+                yield rank(part, loads), fi, si
+
+    ranked, fi, si = min(sweep(), key=lambda c: (c[0][0], c[1], c[2]))
+    kept = improved = 0
+    for cycle in range(V_CYCLES):
+        candidate = rank(*_v_cycle(mesh, ranked[1], true_caps, cycle))
+        if candidate[0] <= ranked[0]:
+            kept += 1
+            improved += candidate[0] < ranked[0]
+            ranked = candidate
+
+    key, part, loads, violations = ranked
     assignment = PartitionAssignment({ids[u]: part[u] for u in range(mesh.n)})
     return PartitionResult(
         assignment=assignment,
@@ -475,8 +533,10 @@ def partition(g: PartGraph, cfg: PartitionConfig | None = None) -> PartitionResu
         per_part_loads=tuple(tuple(v) for v in loads),
         part_capacities=caps_raw,
         violations=violations,
-        slack=cfg.slack_factors[key[4]],
-        seed=cfg.seeds[key[5]],
+        slack=cfg.slack_factors[fi],
+        seed=cfg.seeds[si],
+        v_cycles_kept=kept,
+        v_cycles_improved=improved,
     )
 
 

@@ -96,6 +96,31 @@ def test_plan_json_and_csv_formats(capsys, tmp_path, fig2_file):
     assert len(out.splitlines()) == 5
 
 
+def test_plan_reports_the_winning_seed_and_v_cycles(capsys, tmp_path):
+    # The seed and the V-cycle counts sit beside the slack, in the
+    # deterministic part of the text report and in the JSON config list.
+    from placer.generate import GenSpec, generate
+    from placer.pipeline import plan_workload
+    from placer.workload import serialize_workload
+
+    w = generate(GenSpec(shape="random", n_tables=60, n_queries=60, n_servers=8, seed=4))
+    path = tmp_path / "w.json"
+    path.write_text(serialize_workload(w))
+    result = plan_workload(w).partition
+    lines = [
+        f"slack used: {result.slack}",
+        f"seed used: {result.seed}",
+        f"v-cycles kept: {result.v_cycles_kept} of 4 ({result.v_cycles_improved} improved)",
+    ]
+    assert result.v_cycles_improved > 0
+    _, text, _ = run(capsys, "plan", path, "--out", tmp_path / "p.json")
+    report = strip_timing(text).splitlines()
+    assert report[report.index(lines[0]):][:3] == lines
+    _, out, _ = run(capsys, "plan", path, "--format", "json", "--out", tmp_path / "p.json")
+    config = json.loads(out)["config"]
+    assert config[config.index(lines[0]):][:3] == lines
+
+
 def test_cost_reevaluates_placement(capsys, tmp_path, fig2_file):
     out_path = tmp_path / "p.json"
     run(capsys, "plan", fig2_file, "--out", out_path)

@@ -25,12 +25,12 @@ from placer import (
     write_lp,
 )
 
-GOLDEN_SHA256 = "d020387f7430d1baf8308e6bc70279322b1ee147cfa9a8fca752f172885d8486"
+GOLDEN_SHA256 = "e72854dea33bafd119f6dc12a8ac39af9b5b0dc3b75dff431b07e52482bddcaa"
 
 # The same plans swept at slack 0 only: a slack-0 candidate never takes
 # the true-capacity rebalance, so this digest pins the refinement pass
-# on its own.
-SLACK0_SHA256 = "6462be1ccdcbf0c82518e4f0c119e78e637b740fb45ddb0fda3dbef9b493263b"
+# and the V-cycles without it.
+SLACK0_SHA256 = "8d55042c485fd8cce354630c63cfe5a795e792d716943f2c48d9001cc90e0c69"
 
 FAST = PartitionConfig(seeds=(0, 1), slack_factors=(Fraction(0), Fraction(1, 4)))
 SLACK0 = PartitionConfig(slack_factors=(Fraction(0),))
@@ -45,6 +45,8 @@ def _plan_record(outcome) -> str:
         p.violations,
         p.slack,
         p.seed,
+        p.v_cycles_kept,
+        p.v_cycles_improved,
         outcome.report,
     ))
 

@@ -36,7 +36,7 @@ def test_default_config():
     assert len(cfg.slack_factors) == 5
     assert cfg.slack_factors[0] == 0
     assert cfg.slack_factors[-1] == Fraction(2, 9)
-    assert len(cfg.seeds) == 4
+    assert cfg.seeds == (0, 1)
 
 
 def test_config_validation():
@@ -179,15 +179,122 @@ def test_capacities_respected_when_feasible():
 def test_slack_candidate_rebalanced_to_true_capacities():
     # Refined under 1/18 slack and then rebalanced to the true
     # capacities, the slack candidate is feasible and beats the slack-0
-    # candidate (cut 1738).
+    # candidate (cut 1738); the V-cycles then lower its cut from 1707.
     from placer.generate import GenSpec, generate
 
     w = generate(GenSpec(shape="random", n_tables=40, n_queries=40, n_servers=8, seed=6))
     result = partition(build_dp_graph(w), PartitionConfig(
         seeds=(0,), slack_factors=(Fraction(0), Fraction(1, 18))))
     assert result.slack == Fraction(1, 18)
-    assert result.cut_weight == 1707
+    assert result.cut_weight == 1683
     assert not result.violations
+
+
+def test_quality_set_summed_cut():
+    # The 32-instance quality set: random 100x100 plans on 16 servers
+    # (generator seeds 1000 * s + k, s = 1..4, k = 0..5) and TPC-DS
+    # seeds 1-4 on 8 servers, plain and with load.  The summed cut of
+    # the four-seed sweep without V-cycles was 142129; none may violate.
+    from placer.generate import GenSpec, generate
+
+    graphs = [
+        build_dp_graph(generate(GenSpec(shape="random", n_tables=100, n_queries=100,
+                                        n_servers=16, seed=1000 * s + k)))
+        for s in range(1, 5) for k in range(6)
+    ]
+    for s in range(1, 5):
+        w = generate(GenSpec(shape="tpcds", seed=s, n_servers=8))
+        graphs += [build_dp_graph(w), build_dp_graph(w, with_load=True)]
+    results = [partition(g) for g in graphs]
+    assert not any(r.violations for r in results)
+    assert sum(r.cut_weight for r in results) <= 142129
+
+
+def _partitioned_meshes():
+    """Meshes above COARSEN_FLOOR, each with a random partition."""
+    from placer.generate import GenSpec, generate
+    from placer.partition import _mesh_of
+
+    rng = random.Random(31)
+    for seed in range(6):
+        l = rng.randint(2, 8)
+        w = generate(GenSpec(shape="random", n_tables=60, n_queries=60,
+                             n_servers=l, seed=seed))
+        _, mesh = _mesh_of(build_dp_graph(w, with_load=seed % 2 == 1))
+        yield mesh, [rng.randrange(l) for _ in range(mesh.n)], l
+
+
+def _projected_parts(levels, part):
+    """The partition of every level, each coarse node taking the part of
+    the fine nodes it merges; fails when those disagree."""
+    parts = [part]
+    for coarse, cmap in levels[1:]:
+        up = {}
+        for u, c in enumerate(cmap):
+            assert up.setdefault(c, parts[-1][u]) == parts[-1][u], "merged across parts"
+        parts.append([up[c] for c in range(coarse.n)])
+    return parts
+
+
+def test_part_restricted_coarsening_merges_within_parts():
+    from placer.partition import COARSEN_FLOOR, _coarsen
+
+    for mesh, part, _ in _partitioned_meshes():
+        for seed in range(3):
+            levels, coarse_part = _coarsen(mesh, seed, part)
+            assert len(levels) > 1 and mesh.n > COARSEN_FLOOR
+            assert _projected_parts(levels, part)[-1] == coarse_part
+
+
+def test_projection_keeps_cut_and_loads_at_every_level():
+    from placer.partition import _coarsen, _cut_of, _loads_of
+
+    for mesh, part, l in _partitioned_meshes():
+        levels, _ = _coarsen(mesh, 0, part)
+        for (level, _), level_part in zip(levels, _projected_parts(levels, part)):
+            assert _cut_of(level, level_part) == _cut_of(mesh, part)
+            assert _loads_of(level, level_part, l) == _loads_of(mesh, part, l)
+
+
+def test_v_cycle_never_raises_the_key(monkeypatch):
+    # The projection keeps the loads and the cut and no pass raises
+    # (excess, cut), so neither does a V-cycle, and on a feasible
+    # incumbent the key (infeasible, cut, excess) cannot rise.  On an
+    # infeasible one a lower excess may cost cut: on the 60x60 plan with
+    # servers of 105, below an even share, two cycles raise the key, and
+    # partition() keeps a cycle's result only when its key is not higher.
+    import placer.partition as P
+    from placer.generate import GenSpec, generate
+
+    def key(loads, part, mesh, caps):
+        excess = sum(x for _, _, x in P._violations_of(loads, caps))
+        return (excess > 0, P._cut_of(mesh, part), excess)
+
+    raised = 0
+    for n, seed, capacity in ((150, 3, None), (150, 4, None), (60, 9, 105)):
+        w = generate(GenSpec(shape="random", n_tables=n, n_queries=n, n_servers=8,
+                             seed=seed, server_capacity=capacity))
+        g = build_dp_graph(w)
+        ids, mesh = P._mesh_of(g)
+        caps = [tuple(vec) for vec in g.part_capacities]
+        cfg = PartitionConfig(seeds=(0,))
+        with monkeypatch.context() as m:
+            m.setattr(P, "V_CYCLES", 0)
+            sweep = partition(g, cfg)
+        result = partition(g, cfg)
+        part = [sweep.assignment.part_of[i] for i in ids]
+        before = key(sweep.per_part_loads, part, mesh, caps)
+        assert before[0] == (capacity is not None)
+        after = key(result.per_part_loads, [result.assignment.part_of[i] for i in ids],
+                    mesh, caps)
+        assert after <= before
+        for cycle in range(P.V_CYCLES):
+            cycled, loads = P._v_cycle(mesh, part, caps, cycle)
+            after = key(loads, cycled, mesh, caps)
+            assert (after[2], after[1]) <= (before[2], before[1])
+            raised += after > before
+    assert raised == 2
+
 
 
 def test_quality_at_desk_scale():
@@ -507,6 +614,8 @@ def test_balance_ratio():
         violations=(),
         slack=Fraction(0),
         seed=0,
+        v_cycles_kept=0,
+        v_cycles_improved=0,
     )
     from placer.partition import PartitionResult
 

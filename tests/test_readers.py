@@ -202,6 +202,12 @@ GDP_EXEC_OVERFLOW = {
     "servers": ONE_SERVER,
 }
 
+GDP_STORAGE_OVERFLOW = {
+    "views": [{"id": "a", "class": "base_table", "size": 3}],
+    "arcs": [],
+    "servers": [{"id": "S1", "storage_capacity": 2**64}],
+}
+
 
 def run_cli(*argv) -> tuple[int, str]:
     err = io.StringIO()
@@ -230,6 +236,16 @@ def test_gdp_exec_cost_overflow_exits_one_line(fig2_path):
     message = "error: view DAG totals overflow a signed 64-bit integer\n"
     assert run_cli("plan", path, "--out", out) == (1, message)
     assert run_cli("export-graph", path, "--load", "--out", out) == (1, message)
+    assert not out.exists()
+
+
+def test_gdp_storage_capacity_overflow_exits_one_line(fig2_path):
+    path = fig2_path.with_name("storage.gdp.json")
+    path.write_text(json.dumps(GDP_STORAGE_OVERFLOW))
+    out = path.with_name("storage.out")
+    message = "error: view DAG totals overflow a signed 64-bit integer\n"
+    assert run_cli("plan", path, "--out", out) == (1, message)
+    assert run_cli("export-ip", path, "--model", "gdp", "--out", out) == (1, message)
     assert not out.exists()
 
 
