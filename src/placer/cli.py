@@ -23,7 +23,6 @@ from .generate import GenSpec, generate
 from .ip import build_dp_ip, build_gdp_ip, build_replication_ip, write_lp
 from .oracle import OracleLimit, optimal_gdp, optimal_placement
 from .partition import (
-    V_CYCLES,
     PartitionConfig,
     balance_ratio,
     capacity_fractions,
@@ -278,8 +277,7 @@ def cmd_plan(args) -> int:
         f"config: seeds={list(cfg.seeds)} slacks={[str(s) for s in cfg.slack_factors]}",
         f"slack used: {result.slack}",
         f"seed used: {result.seed}",
-        f"v-cycles kept: {result.v_cycles_kept} of {V_CYCLES} "
-        f"({result.v_cycles_improved} improved)",
+        f"v-cycles: {result.v_cycles_run} run, {result.v_cycles_improved} improved",
         f"placement: {out_path}",
     ]
     ratios = []

@@ -6,20 +6,21 @@ move-based local search at every level: each pass makes the best fitting
 move at every step, moves out of overfull parts first, locks the node,
 stops after a run of moves without a new best prefix and rolls back to
 the best prefix, the one of least total excess and then lowest cut.
-There is no separate construction phase: the moves out of overfull parts
-balance the random start.  Because exact feasibility is NP-hard the
-solver never fails on an overfull instance: it sweeps a set of capacity
-slack factors (and seeds), refines each candidate under its slackened
-capacities and then once more under the true ones (the final balancing
-step of multilevel partitioners), and picks the cheapest result that
-respects the true capacities.  When no candidate respects them it falls
-back to the violating candidate with the lowest cut (the smallest total
-excess only breaks cut ties), with violations itemized.  Iterated
-V-cycles then improve that winner (Walshaw 2004; KaFFPa, Sanders and
-Schulz 2011): the graph is coarsened again with matching restricted to
-nodes of one part, so the partition carries exactly onto every level,
-and refined back down under the true capacities.  A graph that does not
-coarsen gets one more round of refinement instead.
+Passes repeat until one keeps nothing.  There is no separate
+construction phase: the moves out of overfull parts balance the random
+start.  Because exact feasibility is NP-hard the solver never fails on
+an overfull instance: it sweeps a set of capacity slack factors (and
+seeds), refines each candidate under its slackened capacities and then
+once more under the true ones (the final balancing step of multilevel
+partitioners), and picks the cheapest result that respects the true
+capacities.  When no candidate respects them it falls back to the
+violating candidate with the lowest cut (the smallest total excess only
+breaks cut ties), with violations itemized.  Iterated V-cycles then
+improve that winner (Walshaw 2004; KaFFPa, Sanders and Schulz 2011): the
+graph is coarsened again with matching restricted to nodes of one part,
+so the partition carries exactly onto every level, and refined back down
+under the true capacities.  A graph that does not coarsen runs no cycle:
+refining a fixed point again changes nothing.
 
 Ties are always broken by lowest node id, then lowest part index, so a
 given (graph, config) pair yields one reproducible result.
@@ -52,14 +53,14 @@ __all__ = [
 # that step no larger slack won on the random and TPC-DS plans measured.
 DEFAULT_SLACK_FACTORS = tuple(Fraction(i, 18) for i in range(5))
 
-# Refinement passes per level, and the node count at which coarsening stops.
-REFINEMENT_PASSES = 10
+# The node count at which coarsening stops.
 COARSEN_FLOOR = 64
 
-# V-cycles run on the sweep's winner.  Each re-coarsens it within its
-# parts and refines it back down at the true capacities; with four, two
-# seeds beat the cut of a four-seed sweep on the random and TPC-DS plans
-# measured, in less time.
+# The most V-cycles run on the sweep's winner.  Each re-coarsens it
+# within its parts and refines it back down at the true capacities; with
+# four, two seeds beat the cut of a four-seed sweep on the random and
+# TPC-DS plans measured, in less time.  A graph that does not coarsen
+# runs none.
 V_CYCLES = 4
 
 
@@ -95,8 +96,8 @@ class PartitionResult:
     violations: tuple[tuple[int, int, int], ...]  # (part, constraint, excess)
     slack: Fraction  # slack and seed of the sweep candidate the V-cycles started from
     seed: int
-    v_cycles_kept: int  # of V_CYCLES: results whose key is not higher
-    v_cycles_improved: int  # of those kept: results whose key is lower
+    v_cycles_run: int  # at most V_CYCLES; 0 when the graph does not coarsen
+    v_cycles_improved: int  # of those run: results whose key is lower (the ones kept)
 
 
 class _Mesh:
@@ -155,9 +156,9 @@ def _mesh_of(g: PartGraph) -> tuple[list[str], _Mesh]:
     return ids, _Mesh(ncon, [n.weights for n in order], edges)
 
 
-def _coarsen_once(mesh: _Mesh, rng: random.Random, part=None) -> tuple[list[int], _Mesh]:
-    """Heavy-edge matching in random node order.  With `part`, a node
-    matches only a neighbour of its own part."""
+def _coarsen_once(mesh: _Mesh, rng: random.Random, part) -> tuple[list[int], _Mesh]:
+    """Heavy-edge matching in random node order; a node matches only a
+    neighbour of its own part."""
     n = mesh.n
     order = list(range(n))
     rng.shuffle(order)
@@ -165,9 +166,10 @@ def _coarsen_once(mesh: _Mesh, rng: random.Random, part=None) -> tuple[list[int]
     for u in order:
         if mate[u] != -1:
             continue
+        pu = part[u]
         best_v, best_w = -1, -1  # adj[u] is sorted by v: ties keep the lowest v
         for v, w in mesh.adj[u]:
-            if mate[v] == -1 and w > best_w and (part is None or part[v] == part[u]):
+            if mate[v] == -1 and w > best_w and part[v] == pu:
                 best_v, best_w = v, w
         if best_v == -1:
             mate[u] = u
@@ -198,11 +200,12 @@ def _coarsen_once(mesh: _Mesh, rng: random.Random, part=None) -> tuple[list[int]
     return cmap, _Mesh(mesh.ncon, [tuple(w) for w in weights], edges)
 
 
-def _coarsen(mesh: _Mesh, seed: int, part=None):
+def _coarsen(mesh: _Mesh, seed: int, part):
     """The levels [(mesh, None), (coarser, cmap), ...] down to
-    COARSEN_FLOOR nodes, and `part` carried to the coarsest level.  With
-    `part`, only nodes of one part merge, so the partition projects
-    exactly: every level has the same loads and the same cut."""
+    COARSEN_FLOOR nodes, and `part` carried to the coarsest level.  Only
+    nodes of one part merge, so the partition projects exactly: every
+    level has the same loads and the same cut.  An all-zero `part`
+    leaves matching unrestricted."""
     levels: list[tuple[_Mesh, list[int] | None]] = [(mesh, None)]
     rng = random.Random(seed)
     cur = mesh
@@ -210,11 +213,10 @@ def _coarsen(mesh: _Mesh, seed: int, part=None):
         cmap, coarse = _coarsen_once(cur, rng, part)
         if coarse.n >= cur.n:
             break
-        if part is not None:
-            up = [0] * coarse.n
-            for u, c in enumerate(cmap):
-                up[c] = part[u]
-            part = up
+        up = [0] * coarse.n
+        for u, c in enumerate(cmap):
+            up[c] = part[u]
+        part = up
         levels.append((coarse, cmap))
         cur = coarse
     return levels, part
@@ -305,9 +307,9 @@ def _sequence_pass(mesh: _Mesh, part, loads, caps, conn) -> bool:
     an overfull part only sheds load: a move can stop lowering the
     excess during the pass, but never start.  A popped lowering entry
     whose node no longer lowers the excess is pushed again as an
-    ordinary move, or dropped when its target holds no neighbour.  Once
-    no part is overfull, every lowering entry is dropped at once and the
-    nodes that had them re-push their ordinary moves.
+    ordinary move, or dropped when its target holds no neighbour.  Every
+    lowering entry pops before any ordinary one, so a stale one turns
+    ordinary before the next move is chosen.
 
     A popped move into q that does not fit is parked on q with its
     stamp.  A move into q can only start to fit when q loses load, so
@@ -329,18 +331,11 @@ def _sequence_pass(mesh: _Mesh, part, loads, caps, conn) -> bool:
     locked = [False] * n
     stamp = [[0] * len(caps) for _ in range(n)]
     parked: list[list[tuple]] = [[] for _ in parts]  # by target part
-    lowering = set()
-    if excess:
-        lowering = {u for u in range(n) if any(weights[u][d] for d in hot[part[u]])}
     heap = [
-        (True, conn[u][part[u]] - c, u, q, 0)
-        for u in range(n) if u not in lowering
-        for q, c in enumerate(conn[u]) if c and q != part[u]
-    ]
-    heap += [
-        (False, conn[u][part[u]] - c, u, q, 0)
-        for u in lowering
-        for q, c in enumerate(conn[u]) if q != part[u]
+        (not lowers, cu[p] - c, u, q, 0)
+        for u, (cu, p) in enumerate(zip(conn, part))
+        for lowers in (hot[p] and any(weights[u][d] for d in hot[p]),)
+        for q, c in enumerate(cu) if (c or lowers) and q != p
     ]
     heapq.heapify(heap)
     heappush, heappop = heapq.heappush, heapq.heappop
@@ -380,13 +375,6 @@ def _sequence_pass(mesh: _Mesh, part, loads, caps, conn) -> bool:
             hot[frm] = [d for d in hot[frm] if load[d] - wu[d] > cap[d]]
         _move(mesh, part, loads, conn, u, q)
         locked[u] = True
-        if lowering and not excess:  # no move lowers the excess any more
-            heap[:] = [e for e in heap if e[0]]
-            heapq.heapify(heap)
-            for v in lowering:
-                if not locked[v]:
-                    push(v, parts)
-            lowering = ()
         cum_gain -= neg_gain
         if (excess, -cum_gain) < best:
             best = (excess, -cum_gain)
@@ -418,14 +406,13 @@ def _sequence_pass(mesh: _Mesh, part, loads, caps, conn) -> bool:
 
 
 def _refine(mesh: _Mesh, part, loads, caps) -> None:
-    """Move-based local search: passes run until one keeps nothing, at
-    most REFINEMENT_PASSES of them.  No pass raises the total excess, and
-    none raises the cut unless it lowers the excess.  The part
-    connectivity is built once here and kept current by _move."""
+    """Move-based local search to a fixed point: passes run until one
+    keeps nothing, so refining the result again changes nothing.  A pass
+    that keeps a prefix lowers (excess, cut), so the passes end.  The
+    part connectivity is built once here and kept current by _move."""
     conn = _connectivity(mesh, part, len(caps))
-    for _ in range(REFINEMENT_PASSES):
-        if not _sequence_pass(mesh, part, loads, caps, conn):
-            break
+    while _sequence_pass(mesh, part, loads, caps, conn):
+        pass
 
 
 def _descend(levels, part, loads, caps) -> list[int]:
@@ -448,16 +435,6 @@ def _run_candidate(levels, caps_scaled, seed: int) -> tuple[list[int], list[list
     part = [rng.randrange(l) for _ in range(coarse.n)]
     loads = _loads_of(coarse, part, l)
     return _descend(levels, part, loads, caps_scaled), loads
-
-
-def _v_cycle(mesh: _Mesh, part, caps, seed: int) -> tuple[list[int], list[list[int]]]:
-    """Coarsen the graph again, merging only nodes of one part, and
-    refine `part` from the coarsest level down under `caps`.  The
-    projection keeps the loads and the cut, and no pass raises (excess,
-    cut), so neither does the cycle."""
-    levels, coarse_part = _coarsen(mesh, seed, part)
-    loads = _loads_of(mesh, part, len(caps))
-    return _descend(levels, coarse_part, loads, caps), loads
 
 
 def _cut_of(mesh: _Mesh, part) -> int:
@@ -484,11 +461,14 @@ def partition(g: PartGraph, cfg: PartitionConfig | None = None) -> PartitionResu
     capacity the result is the one with the lowest cut, which need not
     be the least violating one.
 
-    The winner then goes through V_CYCLES V-cycles at the true
+    The winner then goes through up to V_CYCLES V-cycles at the true
     capacities, and each cycle's result replaces it when its key
-    (infeasible, cut, excess, violation count) is not higher.  The
-    result's slack and seed name the sweep candidate the V-cycles
-    started from.
+    (infeasible, cut, excess, violation count) is lower.  The cycles
+    stop at the first that yields no coarser level: the winner is
+    refined to a fixed point, so such a cycle would change nothing.
+    Whether matching makes progress depends on the incumbent, not on
+    the seed, so this happens at cycle 0 or never.  The result's slack and seed name
+    the sweep candidate the V-cycles started from.
     """
     cfg = cfg or PartitionConfig()
     if not g.part_capacities:
@@ -508,7 +488,7 @@ def partition(g: PartGraph, cfg: PartitionConfig | None = None) -> PartitionResu
 
     def sweep():
         for si, seed in enumerate(cfg.seeds):
-            levels, _ = _coarsen(mesh, seed)
+            levels, _ = _coarsen(mesh, seed, [0] * mesh.n)
             for fi, slack in enumerate(cfg.slack_factors):
                 caps = _scaled_caps(caps_raw, slack)
                 part, loads = _run_candidate(levels, caps, seed * 8191 + fi)
@@ -517,12 +497,16 @@ def partition(g: PartGraph, cfg: PartitionConfig | None = None) -> PartitionResu
                 yield rank(part, loads), fi, si
 
     ranked, fi, si = min(sweep(), key=lambda c: (c[0][0], c[1], c[2]))
-    kept = improved = 0
+    run = improved = 0
     for cycle in range(V_CYCLES):
-        candidate = rank(*_v_cycle(mesh, ranked[1], true_caps, cycle))
-        if candidate[0] <= ranked[0]:
-            kept += 1
-            improved += candidate[0] < ranked[0]
+        levels, coarse_part = _coarsen(mesh, cycle, ranked[1])
+        if len(levels) == 1:
+            break
+        loads = _loads_of(mesh, ranked[1], len(true_caps))
+        candidate = rank(_descend(levels, coarse_part, loads, true_caps), loads)
+        run += 1
+        if candidate[0] < ranked[0]:
+            improved += 1
             ranked = candidate
 
     key, part, loads, violations = ranked
@@ -535,7 +519,7 @@ def partition(g: PartGraph, cfg: PartitionConfig | None = None) -> PartitionResu
         violations=violations,
         slack=cfg.slack_factors[fi],
         seed=cfg.seeds[si],
-        v_cycles_kept=kept,
+        v_cycles_run=run,
         v_cycles_improved=improved,
     )
 
@@ -639,7 +623,10 @@ def parse_graph(text: str, part_capacities) -> PartGraph:
     fmt = header[2] if len(header) > 2 else "000"
     if fmt not in ("011", "11"):
         raise DocumentError(f"unsupported graph format {fmt!r} (need node+edge weights)")
-    ncon = (parse_int(header[3], "constraint count") if len(header) > 3 else 0) or 1
+    ncon = parse_int(header[3], "constraint count") if len(header) > 3 else 1
+    if ncon < 1:
+        raise DocumentError(
+            f"graph header {lines[0]!r} gives {ncon} constraints, need at least 1")
     if len(lines) - 1 != n:
         raise DocumentError(f"graph file has {len(lines) - 1} node lines for n={n}")
     width = len(str(n))

@@ -22,7 +22,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import lil_array
 
 from placer.common import INFINITE
-from placer.partition import REFINEMENT_PASSES, _fits, _violations_of
+from placer.partition import _fits, _violations_of
 from placer.gdp import Arc, ViewClass, ViewDag, make_view, validate_view_dag
 from placer.ip import IpModel
 from placer.reduction import PartGraph
@@ -330,6 +330,5 @@ def reference_sequence_pass(mesh, part, loads, caps) -> bool:
 
 
 def reference_refine(mesh, part, loads, caps) -> None:
-    for _ in range(REFINEMENT_PASSES):
-        if not reference_sequence_pass(mesh, part, loads, caps):
-            break
+    while reference_sequence_pass(mesh, part, loads, caps):
+        pass

@@ -45,7 +45,7 @@ def _plan_record(outcome) -> str:
         p.violations,
         p.slack,
         p.seed,
-        p.v_cycles_kept,
+        p.v_cycles_run,
         p.v_cycles_improved,
         outcome.report,
     ))

@@ -78,13 +78,14 @@ def test_two_isolated_nodes_two_unit_parts():
 
 def test_isolated_nodes_stop_coarsening():
     # Nodes without edges have nothing to match, so coarsening stops at
-    # once above the floor of 64 nodes; the moves out of overfull parts
-    # still balance the random start.
+    # once above the floor of 64 nodes and no V-cycle runs; the moves
+    # out of overfull parts still balance the random start.
     g = PartGraph(tuple(node(f"n{i:03}", 1) for i in range(100)), (), ((25,),) * 4)
     result = partition(g)
     assert result.cut_weight == 0
     assert not result.violations
     assert result.per_part_loads == ((25,),) * 4
+    assert result.v_cycles_run == 0
 
 
 def test_zero_parts_rejected(fig2):
@@ -135,8 +136,13 @@ def test_infinite_edges_pass_the_contract_check():
     ("2 1 011 1\n1 2 5\n1\n",
      "node line 1 lists node 2, but node line 2 does not list node 1"),
     ("2 1 011 1\n1 2 5 2 5\n1 1 5\n", "node line 1 lists node 2 more than once"),
+    ("1 0 011 -1\n5\n", "graph header '1 0 011 -1' gives -1 constraints, need at least 1"),
+    ("2 1 011 -2\n1 2 5\n1 1 5\n",
+     "graph header '2 1 011 -2' gives -2 constraints, need at least 1"),
+    ("1 0 011 0\n5\n", "graph header '1 0 011 0' gives 0 constraints, need at least 1"),
 ], ids=["zero-edge", "negative-edge", "negative-back-edge", "negative-node", "node-width",
-        "self-loop", "one-sided-edge", "repeated-neighbour"])
+        "self-loop", "one-sided-edge", "repeated-neighbour", "negative-ncon", "ncon-minus-two",
+        "zero-ncon"])
 def test_parse_graph_rejects_bad_weights(text, message):
     with pytest.raises(DocumentError, match=re.escape(message)):
         parse_graph(text, ((9,), (9,)))
@@ -262,7 +268,7 @@ def test_v_cycle_never_raises_the_key(monkeypatch):
     # incumbent the key (infeasible, cut, excess) cannot rise.  On an
     # infeasible one a lower excess may cost cut: on the 60x60 plan with
     # servers of 105, below an even share, two cycles raise the key, and
-    # partition() keeps a cycle's result only when its key is not higher.
+    # partition() keeps a cycle's result only when its key is lower.
     import placer.partition as P
     from placer.generate import GenSpec, generate
 
@@ -289,7 +295,10 @@ def test_v_cycle_never_raises_the_key(monkeypatch):
                     mesh, caps)
         assert after <= before
         for cycle in range(P.V_CYCLES):
-            cycled, loads = P._v_cycle(mesh, part, caps, cycle)
+            levels, coarse_part = P._coarsen(mesh, cycle, part)
+            assert len(levels) > 1
+            loads = P._loads_of(mesh, part, len(caps))
+            cycled = P._descend(levels, coarse_part, loads, caps)
             after = key(loads, cycled, mesh, caps)
             assert (after[2], after[1]) <= (before[2], before[1])
             raised += after > before
@@ -424,7 +433,6 @@ def test_refinement_equals_dict_reference():
     # The incremental connectivity must reproduce, step by step, the
     # refinement that rebuilds every node's connectivity on each use.
     from placer.partition import (
-        REFINEMENT_PASSES,
         _connectivity,
         _loads_of,
         _refine,
@@ -453,14 +461,66 @@ def test_refinement_equals_dict_reference():
         part, ref_part = list(start), list(start)
         loads, ref_loads = _loads_of(mesh, part, l), _loads_of(mesh, part, l)
         conn = _connectivity(mesh, part, l)
-        for _ in range(REFINEMENT_PASSES):
+        kept = True
+        while kept:
             kept = _sequence_pass(mesh, part, loads, caps, conn)
             assert kept == reference_sequence_pass(mesh, ref_part, ref_loads, caps)
             assert part == ref_part and loads == ref_loads
             assert conn == _connectivity(mesh, part, l)
-            if not kept:
-                break
     assert all(c >= 30 for c in seen.values()), seen
+
+
+def test_refinement_reaches_a_fixed_point(monkeypatch):
+    # _refine runs passes until one keeps nothing, so refining its
+    # result again keeps nothing.  Checked at every refinement of one
+    # quality-set plan (random 100x100 on 16 servers, generator seed
+    # 4004), whose 113-node level with 16 parts takes more than ten
+    # passes.
+    import placer.partition as P
+    from placer.generate import GenSpec, generate
+
+    refine, sequence_pass = P._refine, P._sequence_pass
+    passes = []  # per refinement: (nodes, parts, passes)
+
+    def counted_pass(*args):
+        n, l, k = passes[-1]
+        passes[-1] = (n, l, k + 1)
+        return sequence_pass(*args)
+
+    def checked_refine(mesh, part, loads, caps):
+        passes.append((mesh.n, len(caps), 0))
+        refine(mesh, part, loads, caps)
+        again, again_loads = list(part), [list(vec) for vec in loads]
+        conn = P._connectivity(mesh, again, len(caps))
+        assert not sequence_pass(mesh, again, again_loads, caps, conn)
+        assert again == part and again_loads == loads
+
+    monkeypatch.setattr(P, "_refine", checked_refine)
+    monkeypatch.setattr(P, "_sequence_pass", counted_pass)
+    w = generate(GenSpec(shape="random", n_tables=100, n_queries=100, n_servers=16,
+                         seed=4004))
+    partition(build_dp_graph(w))
+    assert len(passes) > 40
+    assert any(n == 113 and l == 16 and k > 10 for n, l, k in passes), passes
+
+
+def test_graph_that_does_not_coarsen_runs_no_v_cycle():
+    # The sweep's winner is refined to a fixed point at the true
+    # capacities, so a V-cycle with no coarser level could not change
+    # it, and on at most COARSEN_FLOOR nodes none runs.  The plan is
+    # pinned: running such cycles or not must not change it.
+    from placer.generate import GenSpec, generate
+    from placer.partition import COARSEN_FLOOR
+
+    w = generate(GenSpec(shape="random", n_tables=20, n_queries=20, n_servers=4, seed=1))
+    g = build_dp_graph(w)
+    result = partition(g)
+    assert len(g.nodes) <= COARSEN_FLOOR
+    assert (result.v_cycles_run, result.v_cycles_improved) == (0, 0)
+    assert (result.cut_weight, result.slack, result.seed) == (576, Fraction(2, 9), 0)
+    part_of = result.assignment.part_of
+    assert "".join(str(part_of[i]) for i in sorted(part_of)) == (
+        "2101300010023201313202211121011303232023")
 
 
 def test_fallback_excess_near_minimum():
@@ -614,7 +674,7 @@ def test_balance_ratio():
         violations=(),
         slack=Fraction(0),
         seed=0,
-        v_cycles_kept=0,
+        v_cycles_run=0,
         v_cycles_improved=0,
     )
     from placer.partition import PartitionResult

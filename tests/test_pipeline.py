@@ -1,11 +1,12 @@
 import json
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from placer.generate import GenSpec, generate
-from placer.ip import build_dp_ip, read_lp, write_lp
+from placer.ip import IpConstraint, IpTerm, build_dp_ip, read_lp, write_lp
 from placer.oracle import optimal_gdp, optimal_placement
 from placer.partition import PartitionConfig
 from placer.pipeline import balance_sweep, load_ratio_cap, plan_view_dag, plan_workload
@@ -53,6 +54,40 @@ def test_plan_within_five_percent_of_proven_optimum():
 def test_larger_optima_are_proven():
     for (n, seed), optimum in SLOW_PROVEN_OPTIMA.items():
         assert _proven_optimum(_random_square(n, seed)) == optimum
+
+
+# The paper's headline claim on its own instance shape: the reduction
+# gives near-optimal plans in seconds where an IP solver takes long.
+# Optima of TPC-DS seed 1, keyed by server count.  HiGHS proves both in
+# about 12 minutes on 2 cores, and 8 servers only once the largest table
+# is fixed to the first server, so only the slow test re-proves them.
+TPCDS_OPTIMA = {4: 4342, 8: 5544}
+
+
+def _tpcds1(n_servers: int):
+    return generate(GenSpec(shape="tpcds", seed=1, n_servers=n_servers))
+
+
+def test_plan_within_half_a_percent_of_tpcds_optimum():
+    for n_servers, optimum in TPCDS_OPTIMA.items():
+        report = plan_workload(_tpcds1(n_servers)).report
+        assert not report.violations
+        assert report.total_cost <= 1.005 * optimum
+
+
+@pytest.mark.slow
+def test_tpcds_optima_are_proven():
+    # Every server has the same capacity, so some optimal placement puts
+    # the largest table on the first server: fixing it there keeps the
+    # optimum and removes the solver's symmetric copies of each solution.
+    for n_servers, optimum in TPCDS_OPTIMA.items():
+        w = _tpcds1(n_servers)
+        assert len({s.storage_capacity for s in w.servers}) == 1
+        largest = max(range(len(w.tables)), key=lambda j: w.tables[j].size) + 1
+        model = build_dp_ip(w)
+        fixed = IpConstraint("fix_largest", (IpTerm(1, f"x_T{largest}_S1"),), "=", 1)
+        model = replace(model, constraints=model.constraints + (fixed,))
+        assert solve_ip(read_lp(write_lp(model)))[0] == optimum
 
 
 def test_plan_single_server(fig2):
