@@ -23,7 +23,6 @@ from .generate import GenSpec, generate
 from .ip import (
     IpConstraint,
     IpModel,
-    IpTerm,
     build_dp_ip,
     build_gdp_ip,
     build_replication_ip,

@@ -10,20 +10,21 @@ the optimum is unchanged and the model carries fewer integer variables.
 
 Variables are named by 1-based positional indices (x_T1_S2, y_Q3_S1,
 z2_Q1_T4_S1, lam_Q1_T4, ...) so opaque object ids never leak into LP
-identifiers.
+identifiers.  A term is a plain (coefficient, variable) pair, and a row
+is a named tuple that holds its terms as a tuple of such pairs.
 """
 from __future__ import annotations
 
 import itertools
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .common import INFINITE, DocumentError, ValidationError, parse_int
 from .gdp import ViewDag
 from .workload import Workload
 
 __all__ = [
-    "IpTerm",
     "IpConstraint",
     "IpModel",
     "build_dp_ip",
@@ -36,16 +37,9 @@ __all__ = [
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]{0,254}$")
 
 
-@dataclass(frozen=True)
-class IpTerm:
-    coef: int
-    var: str
-
-
-@dataclass(frozen=True)
-class IpConstraint:
+class IpConstraint(NamedTuple):
     name: str
-    terms: tuple[IpTerm, ...]
+    terms: tuple[tuple[int, str], ...]  # (coef, var)
     relation: str  # "<=", "=", ">="
     rhs: int
 
@@ -53,7 +47,7 @@ class IpConstraint:
 @dataclass(frozen=True)
 class IpModel:
     sense: str  # "min" | "max"
-    objective: tuple[IpTerm, ...]
+    objective: tuple[tuple[int, str], ...]  # (coef, var)
     constraints: tuple[IpConstraint, ...]
     binaries: tuple[str, ...]
     bounded_reals: tuple[str, ...]  # bounded to [0, 1]
@@ -67,9 +61,9 @@ class IpModel:
         for name in itertools.chain(self.binaries, self.bounded_reals):
             if not _NAME_RE.match(name):
                 raise ValidationError(f"invalid variable name {name!r}")
-        for term in self.objective:
-            if term.var not in declared:
-                raise ValidationError(f"undeclared variable {term.var!r} in objective")
+        for _, var in self.objective:
+            if var not in declared:
+                raise ValidationError(f"undeclared variable {var!r} in objective")
         names = set()
         for c in self.constraints:
             if not _NAME_RE.match(c.name):
@@ -79,24 +73,24 @@ class IpModel:
             names.add(c.name)
             if c.relation not in ("<=", "=", ">="):
                 raise ValidationError(f"bad relation {c.relation!r} in {c.name!r}")
-            for term in c.terms:
-                if term.var not in declared:
+            for _, var in c.terms:
+                if var not in declared:
                     raise ValidationError(
-                        f"undeclared variable {term.var!r} in constraint {c.name!r}"
+                        f"undeclared variable {var!r} in constraint {c.name!r}"
                     )
 
 
 def _one_of(name: str, row: list[str]) -> IpConstraint:
     """Exactly one variable of the row is 1."""
-    return IpConstraint(name, tuple(IpTerm(1, v) for v in row), "=", 1)
+    return IpConstraint(name, tuple((1, v) for v in row), "=", 1)
 
 
 def _abs_diff(name: str, a: str, b: str, ind: str) -> tuple[IpConstraint, ...]:
     """ind >= |a - b|, as the rows name_a (a - b - ind <= 0) and name_b
     (b - a - ind <= 0)."""
     return (
-        IpConstraint(f"{name}_a", (IpTerm(1, a), IpTerm(-1, b), IpTerm(-1, ind)), "<=", 0),
-        IpConstraint(f"{name}_b", (IpTerm(1, b), IpTerm(-1, a), IpTerm(-1, ind)), "<=", 0),
+        IpConstraint(f"{name}_a", ((1, a), (-1, b), (-1, ind)), "<=", 0),
+        IpConstraint(f"{name}_b", ((1, b), (-1, a), (-1, ind)), "<=", 0),
     )
 
 
@@ -127,9 +121,7 @@ def build_dp_ip(w: Workload) -> IpModel:
         binaries.extend(row)
         constraints.append(_one_of(f"assign_Q{i}", row))
     for k, s in enumerate(w.servers, start=1):
-        terms = tuple(
-            IpTerm(t.size, x_t(t_index[t.id], k)) for t in w.tables if t.size > 0
-        )
+        terms = tuple((t.size, x_t(t_index[t.id], k)) for t in w.tables if t.size > 0)
         constraints.append(IpConstraint(f"cap_S{k}", terms, "<=", s.storage_capacity))
     for q in w.queries:
         i = q_index[q.id]
@@ -139,7 +131,7 @@ def build_dp_ip(w: Workload) -> IpModel:
             reals.append(lam)
             coef = q.frequency * r.cost
             if coef > 0:
-                objective.append(IpTerm(coef, lam))
+                objective.append((coef, lam))
             for k in range(1, l + 1):
                 constraints.extend(_abs_diff(f"{lam}_S{k}", x_q(i, k), x_t(j, k), lam))
     return IpModel(
@@ -178,17 +170,11 @@ def build_replication_ip(w: Workload, r: int) -> IpModel:
             binaries.extend(row)
             constraints.append(_one_of(f"assign_T{j}_r{h}", row))
         for k in range(1, l + 1):
-            constraints.append(
-                IpConstraint(
-                    f"replica_once_T{j}_S{k}",
-                    tuple(IpTerm(1, x(h, j, k)) for h in range(1, r + 1)),
-                    "<=",
-                    1,
-                )
-            )
+            once = tuple((1, x(h, j, k)) for h in range(1, r + 1))
+            constraints.append(IpConstraint(f"replica_once_T{j}_S{k}", once, "<=", 1))
     for k, s in enumerate(w.servers, start=1):
         terms = tuple(
-            IpTerm(t.size, x(h, t_index[t.id], k))
+            (t.size, x(h, t_index[t.id], k))
             for t in w.tables
             if t.size > 0
             for h in range(1, r + 1)
@@ -203,16 +189,10 @@ def build_replication_ip(w: Workload, r: int) -> IpModel:
                     z = f"z{h}_Q{i}_T{j}_S{k}"
                     reals.append(z)
                     if coef > 0:
-                        objective.append(IpTerm(coef, z))
-                    constraints.append(
-                        IpConstraint(
-                            f"{z}_y", (IpTerm(1, z), IpTerm(-1, y(i, k))), "<=", 0
-                        )
-                    )
-                    constraints.append(
-                        IpConstraint(
-                            f"{z}_x", (IpTerm(1, z), IpTerm(-1, x(h, j, k))), "<=", 0
-                        )
+                        objective.append((coef, z))
+                    constraints += (
+                        IpConstraint(f"{z}_y", ((1, z), (-1, y(i, k))), "<=", 0),
+                        IpConstraint(f"{z}_x", ((1, z), (-1, x(h, j, k))), "<=", 0),
                     )
     return IpModel(
         "max", tuple(objective), tuple(constraints), tuple(binaries), tuple(reals)
@@ -244,9 +224,7 @@ def build_gdp_ip(d: ViewDag) -> IpModel:
         constraints.append(_one_of(f"store_V{j}", s_row))
         constraints.append(_one_of(f"compute_V{j}", c_row))
     for k, s in enumerate(d.servers, start=1):
-        terms = tuple(
-            IpTerm(v.size, xs(v_index[v.id], k)) for v in d.views if v.size > 0
-        )
+        terms = tuple((v.size, xs(v_index[v.id], k)) for v in d.views if v.size > 0)
         constraints.append(IpConstraint(f"cap_S{k}", terms, "<=", s.storage_capacity))
     for a in d.arcs:
         i, j = v_index[a.consumer], v_index[a.producer]
@@ -254,25 +232,19 @@ def build_gdp_ip(d: ViewDag) -> IpModel:
             continue
         cut = f"cut_V{i}_V{j}"
         reals.append(cut)
-        objective.append(IpTerm(a.cost, cut))
+        objective.append((a.cost, cut))
         for k in range(1, l + 1):
             constraints.extend(_abs_diff(f"{cut}_S{k}", xc(i, k), xs(j, k), cut))
     for v in d.views:
         j = v_index[v.id]
         if v.transfer_cost == INFINITE:
             for k in range(1, l + 1):
-                constraints.append(
-                    IpConstraint(
-                        f"pin_V{j}_S{k}",
-                        (IpTerm(1, xs(j, k)), IpTerm(-1, xc(j, k))),
-                        "=",
-                        0,
-                    )
-                )
+                pin = ((1, xs(j, k)), (-1, xc(j, k)))
+                constraints.append(IpConstraint(f"pin_V{j}_S{k}", pin, "=", 0))
         elif v.transfer_cost > 0:
             mov = f"mov_V{j}"
             reals.append(mov)
-            objective.append(IpTerm(int(v.transfer_cost), mov))
+            objective.append((int(v.transfer_cost), mov))
             for k in range(1, l + 1):
                 constraints.extend(_abs_diff(f"{mov}_S{k}", xs(j, k), xc(j, k), mov))
     return IpModel(
@@ -280,14 +252,14 @@ def build_gdp_ip(d: ViewDag) -> IpModel:
     )
 
 
-def _format_terms(terms: tuple[IpTerm, ...]) -> str:
+def _format_terms(terms: tuple[tuple[int, str], ...]) -> str:
     parts = []
-    for idx, term in enumerate(terms):
+    for idx, (coef, var) in enumerate(terms):
         if idx == 0:
-            prefix = "-" if term.coef < 0 else ""
+            prefix = "-" if coef < 0 else ""
         else:
-            prefix = "- " if term.coef < 0 else "+ "
-        parts.append(f"{prefix}{abs(term.coef)} {term.var}")
+            prefix = "- " if coef < 0 else "+ "
+        parts.append(f"{prefix}{abs(coef)} {var}")
     return " ".join(parts)
 
 
@@ -317,7 +289,7 @@ def write_lp(m: IpModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_terms(tokens: list[str], where: str) -> tuple[IpTerm, ...]:
+def _parse_terms(tokens: list[str], where: str) -> tuple[tuple[int, str], ...]:
     terms = []
     sign = 1
     pending: int | None = None
@@ -329,18 +301,18 @@ def _parse_terms(tokens: list[str], where: str) -> tuple[IpTerm, ...]:
         elif re.fullmatch(r"-?\d+", tok):
             if pending is not None:
                 raise DocumentError(f"two consecutive numbers in {where}")
-            pending = sign * int(tok)
+            pending = sign * parse_int(tok, f"coefficient in {where}")
             sign = 1
         else:
             if not _NAME_RE.match(tok):
                 raise DocumentError(f"invalid variable name {tok!r} in {where}")
             coef = pending if pending is not None else sign
-            terms.append(IpTerm(coef, tok))
+            terms.append((coef, tok))
             pending = None
             sign = 1
     if pending is not None:
         raise DocumentError(f"dangling coefficient in {where}")
-    return tuple(t for t in terms if not (t.var == "dummy0" and t.coef == 0))
+    return tuple(t for t in terms if t != (0, "dummy0"))
 
 
 def read_lp(text: str) -> IpModel:

@@ -15,6 +15,7 @@ unbounded.
 from __future__ import annotations
 
 import json
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -102,6 +103,10 @@ def load_json_document(text: str) -> dict:
         ) from exc
     except RecursionError:
         raise DocumentError("document nests too deeply") from None
+    except ValueError:  # the interpreter's cap on digits of an int literal
+        raise DocumentError(
+            f"integer literal longer than {sys.get_int_max_str_digits()} digits"
+        ) from None
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
     return doc

@@ -64,12 +64,12 @@ def solve_ip(m: IpModel) -> tuple[int, dict[str, float]] | None:
     names = m.binaries + m.bounded_reals
     col = {v: i for i, v in enumerate(names)}
     c = np.zeros(len(names))
-    for t in m.objective:
-        c[col[t.var]] += t.coef
+    for coef, var in m.objective:
+        c[col[var]] += coef
     a = lil_array((len(m.constraints), len(names)))
     for r, con in enumerate(m.constraints):
-        for t in con.terms:
-            a[r, col[t.var]] += t.coef
+        for coef, var in con.terms:
+            a[r, col[var]] += coef
     lo = [-np.inf if con.relation == "<=" else con.rhs for con in m.constraints]
     hi = [np.inf if con.relation == ">=" else con.rhs for con in m.constraints]
     sign = -1 if m.sense == "max" else 1

@@ -1,7 +1,8 @@
 """Golden digest of the planner's outputs.
 
 One sha256 over the results of a fixed set of plans, replication
-heuristics and file exports.  Refactors of the partitioner, the
+heuristics and file exports, and one sha256 per integer-program model
+of the LP text it is written as.  Refactors of the partitioner, the
 reductions or the writers must leave every byte of these outputs as it
 is; a deliberate change of results has to update the digest and say why.
 """
@@ -15,6 +16,8 @@ from placer import (
     ReplicationConfig,
     build_dp_graph,
     build_dp_ip,
+    build_gdp_ip,
+    build_replication_ip,
     export_graph,
     generate,
     heuristic1,
@@ -31,6 +34,17 @@ GOLDEN_SHA256 = "e72854dea33bafd119f6dc12a8ac39af9b5b0dc3b75dff431b07e52482bddca
 # the true-capacity rebalance, so this digest pins the refinement pass
 # and the V-cycles without it.
 SLACK0_SHA256 = "8d55042c485fd8cce354630c63cfe5a795e792d716943f2c48d9001cc90e0c69"
+
+# sha256 of the LP text that `export-ip` hands an external solver, one per
+# model: the round-trip tests only compare a model with its re-read copy.
+LP_SHA256 = {
+    "dp fig2": "454fa33176a8ebf348025415dad0e17eacfce6c1fd223dd5aac562743dbc3252",
+    "dp tpcds seed 1, 8 servers":
+        "2a61eda20b5e1f33136ec41612551b62b0e9a17ccb303548058718bc89e578ab",
+    "replication fig2, r = 2":
+        "95ae5c0c5335d2752a66126491d12d26e7a670fd125938c060514afd67f78685",
+    "gdp example": "ccef62b230c82609cfc010861baf72dea7ab9190b782fda3c43a980b157e9042",
+}
 
 FAST = PartitionConfig(seeds=(0, 1), slack_factors=(Fraction(0), Fraction(1, 4)))
 SLACK0 = PartitionConfig(slack_factors=(Fraction(0),))
@@ -96,3 +110,15 @@ def test_golden_digest():
 
 def test_slack0_digest():
     assert _digest(plan_records(SLACK0)) == SLACK0_SHA256
+
+
+def test_lp_digests(fig2, gdp_example):
+    models = {
+        "dp fig2": build_dp_ip(fig2),
+        "dp tpcds seed 1, 8 servers": build_dp_ip(_tpcds()),
+        "replication fig2, r = 2": build_replication_ip(fig2, 2),
+        "gdp example": build_gdp_ip(gdp_example),
+    }
+    digests = {key: hashlib.sha256(write_lp(m).encode()).hexdigest()
+               for key, m in models.items()}
+    assert digests == LP_SHA256

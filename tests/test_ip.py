@@ -8,7 +8,6 @@ from placer.gdp import parse_gdp
 from placer.ip import (
     IpConstraint,
     IpModel,
-    IpTerm,
     build_dp_ip,
     build_gdp_ip,
     build_replication_ip,
@@ -179,14 +178,14 @@ def test_gdp_ip_cost_zero_arc_has_no_cut_indicator():
     }))
     model = build_gdp_ip(d)
     assert [v for v in model.bounded_reals if v.startswith("cut_")] == ["cut_V3_V2"]
-    assert [t.var for t in model.objective] == ["cut_V3_V2"]
+    assert [var for _, var in model.objective] == ["cut_V3_V2"]
 
 
 def test_write_lp_sections():
     model = IpModel(
         "min",
-        (IpTerm(2, "a"), IpTerm(3, "b")),
-        (IpConstraint("c1", (IpTerm(1, "a"), IpTerm(1, "b")), "=", 1),),
+        ((2, "a"), (3, "b")),
+        (IpConstraint("c1", ((1, "a"), (1, "b")), "=", 1),),
         ("a", "b"),
         (),
     )
@@ -209,7 +208,7 @@ def test_write_lp_empty_objective_dummy():
 
 
 def test_write_lp_maximize_header():
-    model = IpModel("max", (IpTerm(1, "a"),), (), ("a",), ())
+    model = IpModel("max", ((1, "a"),), (), ("a",), ())
     assert write_lp(model).splitlines()[0] == "Maximize"
 
 
@@ -231,8 +230,8 @@ def test_lp_round_trip_gdp(gdp_example):
 def test_lp_negative_coefficients_round_trip():
     model = IpModel(
         "min",
-        (IpTerm(5, "x"),),
-        (IpConstraint("c2", (IpTerm(-3, "x"), IpTerm(1, "lam")), "<=", -1),),
+        ((5, "x"),),
+        (IpConstraint("c2", ((-3, "x"), (1, "lam")), "<=", -1),),
         ("x",),
         ("lam",),
     )
@@ -241,11 +240,20 @@ def test_lp_negative_coefficients_round_trip():
 
 def test_model_validation():
     with pytest.raises(ValidationError, match="undeclared"):
-        IpModel("min", (IpTerm(1, "ghost"),), (), (), ())
+        IpModel("min", ((1, "ghost"),), (), (), ())
     with pytest.raises(ValidationError, match="invalid variable name"):
         IpModel("min", (), (), ("bad name",), ())
     with pytest.raises(ValidationError, match="twice"):
         IpModel("min", (), (), ("x",), ("x",))
     with pytest.raises(ValidationError, match="invalid constraint name"):
-        IpModel("min", (), (IpConstraint("bad-name!", (IpTerm(1, "x"),), "<=", 1),),
+        IpModel("min", (), (IpConstraint("bad-name!", ((1, "x"),), "<=", 1),),
                 ("x",), ())
+    with pytest.raises(ValidationError, match="unknown objective sense"):
+        IpModel("minimize", (), (), ("x",), ())
+    row = IpConstraint("c", ((1, "x"),), "<=", 1)
+    with pytest.raises(ValidationError, match="duplicate constraint name 'c'"):
+        IpModel("min", (), (row, row), ("x",), ())
+    with pytest.raises(ValidationError, match="bad relation '<'"):
+        IpModel("min", (), (row._replace(relation="<"),), ("x",), ())
+    with pytest.raises(ValidationError, match="undeclared variable 'y' in constraint 'c'"):
+        IpModel("min", (), (row._replace(terms=((1, "x"), (2, "y"))),), ("x",), ())

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from placer.generate import GenSpec, generate
-from placer.ip import IpConstraint, IpTerm, build_dp_ip, read_lp, write_lp
+from placer.ip import IpConstraint, IpModel, build_dp_ip, read_lp, write_lp
 from placer.oracle import optimal_gdp, optimal_placement
 from placer.partition import PartitionConfig
 from placer.pipeline import balance_sweep, load_ratio_cap, plan_view_dag, plan_workload
@@ -26,7 +26,8 @@ def test_plan_fig2_matches_oracle(fig2):
 # Optima of random n x n workloads on 4 servers, keyed by (n, generator
 # seed), beyond the branch-and-bound oracle.  HiGHS proves them on the
 # exported LP text: the 10x10 ones in a few seconds each, the larger ones
-# in about 10 and 30 s, so only the slow test re-proves those.
+# in about 5 and 15 s with the largest table fixed, so only the slow test
+# re-proves those.
 PROVEN_OPTIMA = {(10, 1): 406, (10, 2): 283, (10, 3): 289}
 SLOW_PROVEN_OPTIMA = {(12, 1): 584, (20, 1): 567}
 
@@ -36,15 +37,27 @@ def _random_square(n: int, seed: int):
                             n_servers=4, seed=seed))
 
 
-def _proven_optimum(w) -> int:
-    return solve_ip(read_lp(write_lp(build_dp_ip(w))))[0]
+def _proven_optimum(model: IpModel) -> int:
+    return solve_ip(read_lp(write_lp(model)))[0]
+
+
+def _fix_largest(w) -> IpModel:
+    """The placement IP of `w` with its largest table fixed to the first
+    server.  Every server must have the same capacity: then some optimal
+    placement puts that table there, so the fix keeps the optimum and
+    removes the solver's symmetric copies of each solution."""
+    assert len({s.storage_capacity for s in w.servers}) == 1
+    largest = max(range(len(w.tables)), key=lambda j: w.tables[j].size) + 1
+    model = build_dp_ip(w)
+    fixed = IpConstraint("fix_largest", ((1, f"x_T{largest}_S1"),), "=", 1)
+    return replace(model, constraints=model.constraints + (fixed,))
 
 
 def test_plan_within_five_percent_of_proven_optimum():
     for (n, seed), optimum in {**PROVEN_OPTIMA, **SLOW_PROVEN_OPTIMA}.items():
         w = _random_square(n, seed)
         if (n, seed) in PROVEN_OPTIMA:
-            assert _proven_optimum(w) == optimum
+            assert _proven_optimum(build_dp_ip(w)) == optimum
         report = plan_workload(w).report
         assert not report.violations
         assert report.total_cost <= 1.05 * optimum
@@ -53,7 +66,7 @@ def test_plan_within_five_percent_of_proven_optimum():
 @pytest.mark.slow
 def test_larger_optima_are_proven():
     for (n, seed), optimum in SLOW_PROVEN_OPTIMA.items():
-        assert _proven_optimum(_random_square(n, seed)) == optimum
+        assert _proven_optimum(_fix_largest(_random_square(n, seed))) == optimum
 
 
 # The paper's headline claim on its own instance shape: the reduction
@@ -77,17 +90,8 @@ def test_plan_within_half_a_percent_of_tpcds_optimum():
 
 @pytest.mark.slow
 def test_tpcds_optima_are_proven():
-    # Every server has the same capacity, so some optimal placement puts
-    # the largest table on the first server: fixing it there keeps the
-    # optimum and removes the solver's symmetric copies of each solution.
     for n_servers, optimum in TPCDS_OPTIMA.items():
-        w = _tpcds1(n_servers)
-        assert len({s.storage_capacity for s in w.servers}) == 1
-        largest = max(range(len(w.tables)), key=lambda j: w.tables[j].size) + 1
-        model = build_dp_ip(w)
-        fixed = IpConstraint("fix_largest", (IpTerm(1, f"x_T{largest}_S1"),), "=", 1)
-        model = replace(model, constraints=model.constraints + (fixed,))
-        assert solve_ip(read_lp(write_lp(model)))[0] == optimum
+        assert _proven_optimum(_fix_largest(_tpcds1(n_servers))) == optimum
 
 
 def test_plan_single_server(fig2):

@@ -101,6 +101,7 @@ def test_plan_options_take_any_string(fig2_path, option, value):
               "Binary\n x\nEnd\n")
 @example(text="Minimize\n obj: 1 x\nSubject To\n bad-name!: 1 x <= 1\n"
               "Binary\n x\nEnd\n")
+@example(text="Minimize\n obj: " + "1" * 5001 + " x\nSubject To\nBinary\n x\nEnd\n")
 def test_graph_and_lp_readers_raise_only_document_errors(text):
     # Whatever read_lp accepts, write_lp can write back.
     try:
@@ -274,20 +275,28 @@ def test_gdp_documents_plan_or_exit_one_line(fig2_path, doc):
             assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command, nested", [
+HUGE_INT = "1" * 5001
+
+
+@pytest.mark.parametrize("command, text", [
     ("plan", "[" * 100_000),
     ("cost", '{"a":' * 100_000),
+    ("plan", '{"tables": [{"id": "T1", "size": ' + HUGE_INT + "}]}"),
+    ("cost", '{"store": {"T1": [' + HUGE_INT + "]}}"),
 ])
-def test_deeply_nested_json_is_one_error_line(fig2_path, command, nested):
+def test_deeply_nested_json_is_one_error_line(fig2_path, command, text):
     # json.loads raises RecursionError, not JSONDecodeError, on nesting
-    # deeper than the interpreter's recursion limit.
+    # deeper than the interpreter's recursion limit, and a plain
+    # ValueError on an integer of more digits than its limit (4300).
     path = fig2_path.with_name(f"nested.{command}.json")
-    path.write_text(nested)
+    path.write_text(text)
     argv = {
         "plan": ["plan", path, "--out", path.with_name("out.placement.json")],
         "cost": ["cost", fig2_path, path],
     }[command]
-    assert run_cli(*argv) == (1, "error: document nests too deeply\n")
+    message = ("integer literal longer than 4300 digits" if HUGE_INT in text
+               else "document nests too deeply")
+    assert run_cli(*argv) == (1, f"error: {message}\n")
 
 
 WORKLOAD_FAULTS = [None, None, None, "negative size", "negative cost", "negative capacity",
