@@ -26,6 +26,7 @@ from .ip import (
     build_dp_ip,
     build_gdp_ip,
     build_replication_ip,
+    lp_lines,
     read_lp,
     write_lp,
 )

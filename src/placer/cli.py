@@ -20,7 +20,7 @@ from .common import INFINITE, DocumentError, PlacerError
 from .evaluate import CostReport, Placement, decode_dp, decode_gdp, dp_cost, gdp_cost
 from .gdp import ViewDag, parse_gdp
 from .generate import GenSpec, generate
-from .ip import build_dp_ip, build_gdp_ip, build_replication_ip, write_lp
+from .ip import build_dp_ip, build_gdp_ip, build_replication_ip, lp_lines
 from .oracle import OracleLimit, optimal_gdp, optimal_placement
 from .partition import (
     PartitionConfig,
@@ -416,7 +416,10 @@ def cmd_export_ip(args) -> int:
             raise DocumentError("dp model needs a plain workload")
         model = build_dp_ip(instance)
     out_path = _out_path(args, args.input, ".lp")
-    out_path.write_text(write_lp(model))
+    # Built in full first, so a model that fails to build leaves no file;
+    # then streamed, so the LP text is never held in memory.
+    with out_path.open("w") as f:
+        f.writelines(lp_lines(model))
     print(f"lp: {out_path}")
     print(f"input sha256: {digest}")
     return EXIT_OK

@@ -27,9 +27,21 @@ class ValidationError(PlacerError):
     """An in-memory structure violates one of its contracts."""
 
 
+# Error messages quote at most this many characters of a document's text.
+QUOTE_LIMIT = 40
+
+
+def quote(text: str) -> str:
+    """repr of a piece of document text for an error message; longer text
+    is cut to QUOTE_LIMIT characters and its length given."""
+    if len(text) <= QUOTE_LIMIT:
+        return repr(text)
+    return f"{text[:QUOTE_LIMIT]!r}... ({len(text)} characters)"
+
+
 def parse_int(token: str, what: str) -> int:
     """An integer field of a text document; DocumentError names the field."""
     try:
         return int(token)
     except ValueError:
-        raise DocumentError(f"invalid {what} {token!r}") from None
+        raise DocumentError(f"invalid {what} {quote(token)}") from None

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .common import INFINITE, DocumentError, ValidationError, parse_int
+from .common import INFINITE, DocumentError, ValidationError, parse_int, quote
 from .gdp import ViewDag
 from .workload import Workload
 
@@ -30,6 +31,7 @@ __all__ = [
     "build_dp_ip",
     "build_replication_ip",
     "build_gdp_ip",
+    "lp_lines",
     "write_lp",
     "read_lp",
 ]
@@ -60,14 +62,14 @@ class IpModel:
             raise ValidationError("variable declared twice")
         for name in itertools.chain(self.binaries, self.bounded_reals):
             if not _NAME_RE.match(name):
-                raise ValidationError(f"invalid variable name {name!r}")
+                raise ValidationError(f"invalid variable name {quote(name)}")
         for _, var in self.objective:
             if var not in declared:
                 raise ValidationError(f"undeclared variable {var!r} in objective")
         names = set()
         for c in self.constraints:
             if not _NAME_RE.match(c.name):
-                raise ValidationError(f"invalid constraint name {c.name!r}")
+                raise ValidationError(f"invalid constraint name {quote(c.name)}")
             if c.name in names:
                 raise ValidationError(f"duplicate constraint name {c.name!r}")
             names.add(c.name)
@@ -80,18 +82,35 @@ class IpModel:
                     )
 
 
-def _one_of(name: str, row: list[str]) -> IpConstraint:
+def _site_rows(stems: list[str], l: int):
+    """Each stem's variables stem_S1..stem_Sl as three per-object rows:
+    the names, their (1, name) terms and their (-1, name) terms.  Every
+    row of a model refers to these shared objects instead of formatting
+    a name or building a pair again."""
+    names = [[f"{stem}_S{k}" for k in range(1, l + 1)] for stem in stems]
+    plus = [tuple((1, v) for v in row) for row in names]
+    minus = [tuple((-1, v) for v in row) for row in names]
+    return names, plus, minus
+
+
+def _one_of(name: str, plus: tuple[tuple[int, str], ...]) -> IpConstraint:
     """Exactly one variable of the row is 1."""
-    return IpConstraint(name, tuple((1, v) for v in row), "=", 1)
+    return IpConstraint(name, plus, "=", 1)
 
 
-def _abs_diff(name: str, a: str, b: str, ind: str) -> tuple[IpConstraint, ...]:
+def _abs_diff(name: str, a: tuple, b: tuple, ind: tuple[int, str]) -> tuple[IpConstraint, ...]:
     """ind >= |a - b|, as the rows name_a (a - b - ind <= 0) and name_b
-    (b - a - ind <= 0)."""
+    (b - a - ind <= 0); a and b are the (plus, minus) terms of their
+    variables, ind the (-1, ind) term of the indicator."""
+    (plus_a, minus_a), (plus_b, minus_b) = a, b
     return (
-        IpConstraint(f"{name}_a", ((1, a), (-1, b), (-1, ind)), "<=", 0),
-        IpConstraint(f"{name}_b", ((1, b), (-1, a), (-1, ind)), "<=", 0),
+        IpConstraint(f"{name}_a", (plus_a, minus_b, ind), "<=", 0),
+        IpConstraint(f"{name}_b", (plus_b, minus_a, ind), "<=", 0),
     )
+
+
+def _flat(rows: list[list[str]]) -> tuple[str, ...]:
+    return tuple(itertools.chain.from_iterable(rows))
 
 
 def build_dp_ip(w: Workload) -> IpModel:
@@ -99,43 +118,31 @@ def build_dp_ip(w: Workload) -> IpModel:
     equalities, storage capacities, and per-reference co-location
     indicators lam >= +-(x_query - x_table) driving the minimization."""
     l = len(w.servers)
-    binaries = []
     reals = []
-    constraints = []
     objective = []
-    t_index = {t.id: j + 1 for j, t in enumerate(w.tables)}
-    q_index = {q.id: i + 1 for i, q in enumerate(w.queries)}
-
-    def x_t(j: int, k: int) -> str:
-        return f"x_T{j}_S{k}"
-
-    def x_q(i: int, k: int) -> str:
-        return f"x_Q{i}_S{k}"
-
-    for j, t in enumerate(w.tables, start=1):
-        row = [x_t(j, k) for k in range(1, l + 1)]
-        binaries.extend(row)
-        constraints.append(_one_of(f"assign_T{j}", row))
-    for i, q in enumerate(w.queries, start=1):
-        row = [x_q(i, k) for k in range(1, l + 1)]
-        binaries.extend(row)
-        constraints.append(_one_of(f"assign_Q{i}", row))
-    for k, s in enumerate(w.servers, start=1):
-        terms = tuple((t.size, x_t(t_index[t.id], k)) for t in w.tables if t.size > 0)
-        constraints.append(IpConstraint(f"cap_S{k}", terms, "<=", s.storage_capacity))
-    for q in w.queries:
-        i = q_index[q.id]
+    t_index = {t.id: j for j, t in enumerate(w.tables)}
+    x_t, plus_t, minus_t = _site_rows([f"x_T{j}" for j in range(1, len(w.tables) + 1)], l)
+    x_q, plus_q, minus_q = _site_rows([f"x_Q{i}" for i in range(1, len(w.queries) + 1)], l)
+    constraints = [_one_of(f"assign_T{j}", row) for j, row in enumerate(plus_t, start=1)]
+    constraints += [_one_of(f"assign_Q{i}", row) for i, row in enumerate(plus_q, start=1)]
+    for k, s in enumerate(w.servers):
+        terms = tuple((t.size, x_t[j][k]) for j, t in enumerate(w.tables) if t.size > 0)
+        constraints.append(IpConstraint(f"cap_S{k + 1}", terms, "<=", s.storage_capacity))
+    for i, q in enumerate(w.queries):
         for r in q.refs:
             j = t_index[r.table]
-            lam = f"lam_Q{i}_T{j}"
+            lam = f"lam_Q{i + 1}_T{j + 1}"
             reals.append(lam)
             coef = q.frequency * r.cost
             if coef > 0:
                 objective.append((coef, lam))
-            for k in range(1, l + 1):
-                constraints.extend(_abs_diff(f"{lam}_S{k}", x_q(i, k), x_t(j, k), lam))
+            ind = (-1, lam)
+            for k in range(l):
+                constraints.extend(_abs_diff(
+                    f"{lam}_S{k + 1}", (plus_q[i][k], minus_q[i][k]),
+                    (plus_t[j][k], minus_t[j][k]), ind))
     return IpModel(
-        "min", tuple(objective), tuple(constraints), tuple(binaries), tuple(reals)
+        "min", tuple(objective), tuple(constraints), _flat(x_t) + _flat(x_q), tuple(reals)
     )
 
 
@@ -148,54 +155,46 @@ def build_replication_ip(w: Workload, r: int) -> IpModel:
         raise ValidationError("replication factor must be >= 1")
     if r > l:
         raise ValidationError(f"replication factor {r} exceeds {l} servers")
-    binaries = []
     reals = []
-    constraints = []
     objective = []
-    t_index = {t.id: j + 1 for j, t in enumerate(w.tables)}
-
-    def x(h: int, j: int, k: int) -> str:
-        return f"xr{h}_T{j}_S{k}"
-
-    def y(i: int, k: int) -> str:
-        return f"y_Q{i}_S{k}"
-
-    for i, q in enumerate(w.queries, start=1):
-        row = [y(i, k) for k in range(1, l + 1)]
-        binaries.extend(row)
-        constraints.append(_one_of(f"assign_Q{i}", row))
-    for j, t in enumerate(w.tables, start=1):
-        for h in range(1, r + 1):
-            row = [x(h, j, k) for k in range(1, l + 1)]
-            binaries.extend(row)
-            constraints.append(_one_of(f"assign_T{j}_r{h}", row))
-        for k in range(1, l + 1):
-            once = tuple((1, x(h, j, k)) for h in range(1, r + 1))
-            constraints.append(IpConstraint(f"replica_once_T{j}_S{k}", once, "<=", 1))
-    for k, s in enumerate(w.servers, start=1):
+    t_index = {t.id: j for j, t in enumerate(w.tables)}
+    y, plus_y, minus_y = _site_rows([f"y_Q{i}" for i in range(1, len(w.queries) + 1)], l)
+    # Replica h of table j is row j * r + h (both 0-based).
+    x, plus_x, minus_x = _site_rows(
+        [f"xr{h}_T{j}" for j in range(1, len(w.tables) + 1) for h in range(1, r + 1)], l)
+    constraints = [_one_of(f"assign_Q{i}", row) for i, row in enumerate(plus_y, start=1)]
+    for j in range(len(w.tables)):
+        replicas = range(j * r, (j + 1) * r)
+        constraints += [_one_of(f"assign_T{j + 1}_r{h + 1}", plus_x[row])
+                        for h, row in enumerate(replicas)]
+        for k in range(l):
+            once = tuple(plus_x[row][k] for row in replicas)
+            constraints.append(IpConstraint(f"replica_once_T{j + 1}_S{k + 1}", once, "<=", 1))
+    for k, s in enumerate(w.servers):
         terms = tuple(
-            (t.size, x(h, t_index[t.id], k))
-            for t in w.tables
+            (t.size, x[j * r + h][k])
+            for j, t in enumerate(w.tables)
             if t.size > 0
-            for h in range(1, r + 1)
+            for h in range(r)
         )
-        constraints.append(IpConstraint(f"cap_S{k}", terms, "<=", s.storage_capacity))
-    for i, q in enumerate(w.queries, start=1):
+        constraints.append(IpConstraint(f"cap_S{k + 1}", terms, "<=", s.storage_capacity))
+    for i, q in enumerate(w.queries):
         for ref in q.refs:
             j = t_index[ref.table]
             coef = q.frequency * ref.cost
-            for k in range(1, l + 1):
-                for h in range(1, r + 1):
-                    z = f"z{h}_Q{i}_T{j}_S{k}"
+            for k in range(l):
+                for h in range(r):
+                    z = f"z{h + 1}_Q{i + 1}_T{j + 1}_S{k + 1}"
                     reals.append(z)
                     if coef > 0:
                         objective.append((coef, z))
+                    plus_z = (1, z)
                     constraints += (
-                        IpConstraint(f"{z}_y", ((1, z), (-1, y(i, k))), "<=", 0),
-                        IpConstraint(f"{z}_x", ((1, z), (-1, x(h, j, k))), "<=", 0),
+                        IpConstraint(f"{z}_y", (plus_z, minus_y[i][k]), "<=", 0),
+                        IpConstraint(f"{z}_x", (plus_z, minus_x[j * r + h][k]), "<=", 0),
                     )
     return IpModel(
-        "max", tuple(objective), tuple(constraints), tuple(binaries), tuple(reals)
+        "max", tuple(objective), tuple(constraints), _flat(y) + _flat(x), tuple(reals)
     )
 
 
@@ -204,49 +203,48 @@ def build_gdp_ip(d: ViewDag) -> IpModel:
     view, cut indicators per dependency arc, move indicators per movable
     view; immovable views get hard storage=computation equalities."""
     l = len(d.servers)
+    n = len(d.views)
     binaries = []
     reals = []
     constraints = []
     objective = []
-    v_index = {v.id: j + 1 for j, v in enumerate(d.views)}
-
-    def xs(j: int, k: int) -> str:
-        return f"xs_V{j}_S{k}"
-
-    def xc(j: int, k: int) -> str:
-        return f"xc_V{j}_S{k}"
-
-    for j, v in enumerate(d.views, start=1):
-        s_row = [xs(j, k) for k in range(1, l + 1)]
-        c_row = [xc(j, k) for k in range(1, l + 1)]
-        binaries.extend(s_row)
-        binaries.extend(c_row)
-        constraints.append(_one_of(f"store_V{j}", s_row))
-        constraints.append(_one_of(f"compute_V{j}", c_row))
-    for k, s in enumerate(d.servers, start=1):
-        terms = tuple((v.size, xs(v_index[v.id], k)) for v in d.views if v.size > 0)
-        constraints.append(IpConstraint(f"cap_S{k}", terms, "<=", s.storage_capacity))
+    v_index = {v.id: j for j, v in enumerate(d.views)}
+    xs, plus_s, minus_s = _site_rows([f"xs_V{j}" for j in range(1, n + 1)], l)
+    xc, plus_c, minus_c = _site_rows([f"xc_V{j}" for j in range(1, n + 1)], l)
+    for j in range(n):
+        binaries += xs[j]
+        binaries += xc[j]
+        constraints.append(_one_of(f"store_V{j + 1}", plus_s[j]))
+        constraints.append(_one_of(f"compute_V{j + 1}", plus_c[j]))
+    for k, s in enumerate(d.servers):
+        terms = tuple((v.size, xs[j][k]) for j, v in enumerate(d.views) if v.size > 0)
+        constraints.append(IpConstraint(f"cap_S{k + 1}", terms, "<=", s.storage_capacity))
     for a in d.arcs:
         i, j = v_index[a.consumer], v_index[a.producer]
         if a.cost == 0:
             continue
-        cut = f"cut_V{i}_V{j}"
+        cut = f"cut_V{i + 1}_V{j + 1}"
         reals.append(cut)
         objective.append((a.cost, cut))
-        for k in range(1, l + 1):
-            constraints.extend(_abs_diff(f"{cut}_S{k}", xc(i, k), xs(j, k), cut))
-    for v in d.views:
-        j = v_index[v.id]
+        ind = (-1, cut)
+        for k in range(l):
+            constraints.extend(_abs_diff(
+                f"{cut}_S{k + 1}", (plus_c[i][k], minus_c[i][k]),
+                (plus_s[j][k], minus_s[j][k]), ind))
+    for j, v in enumerate(d.views):
         if v.transfer_cost == INFINITE:
-            for k in range(1, l + 1):
-                pin = ((1, xs(j, k)), (-1, xc(j, k)))
-                constraints.append(IpConstraint(f"pin_V{j}_S{k}", pin, "=", 0))
+            for k in range(l):
+                pin = (plus_s[j][k], minus_c[j][k])
+                constraints.append(IpConstraint(f"pin_V{j + 1}_S{k + 1}", pin, "=", 0))
         elif v.transfer_cost > 0:
-            mov = f"mov_V{j}"
+            mov = f"mov_V{j + 1}"
             reals.append(mov)
             objective.append((int(v.transfer_cost), mov))
-            for k in range(1, l + 1):
-                constraints.extend(_abs_diff(f"{mov}_S{k}", xs(j, k), xc(j, k), mov))
+            ind = (-1, mov)
+            for k in range(l):
+                constraints.extend(_abs_diff(
+                    f"{mov}_S{k + 1}", (plus_s[j][k], minus_s[j][k]),
+                    (plus_c[j][k], minus_c[j][k]), ind))
     return IpModel(
         "min", tuple(objective), tuple(constraints), tuple(binaries), tuple(reals)
     )
@@ -263,30 +261,35 @@ def _format_terms(terms: tuple[tuple[int, str], ...]) -> str:
     return " ".join(parts)
 
 
-def write_lp(m: IpModel) -> str:
-    """Emit solver-standard LP text (objective, Subject To, Bounds,
-    Binary, End).  An empty objective becomes the "0 dummy0" convention
-    with dummy0 fixed to 0 in Bounds."""
-    lines = ["Minimize" if m.sense == "min" else "Maximize"]
+def lp_lines(m: IpModel) -> Iterator[str]:
+    """Yield the solver-standard LP text line by line, each line ending
+    in a newline (objective, Subject To, Bounds, Binary, End).  An empty
+    objective becomes the "0 dummy0" convention with dummy0 fixed to 0
+    in Bounds."""
+    yield "Minimize\n" if m.sense == "min" else "Maximize\n"
     if m.objective:
-        lines.append(" obj: " + _format_terms(m.objective))
+        yield f" obj: {_format_terms(m.objective)}\n"
     else:
-        lines.append(" obj: 0 dummy0")
-    lines.append("Subject To")
+        yield " obj: 0 dummy0\n"
+    yield "Subject To\n"
     for c in m.constraints:
         body = _format_terms(c.terms) if c.terms else "0 dummy0"
-        lines.append(f" {c.name}: {body} {c.relation} {c.rhs}")
-    lines.append("Bounds")
+        yield f" {c.name}: {body} {c.relation} {c.rhs}\n"
+    yield "Bounds\n"
     if not m.objective or any(not c.terms for c in m.constraints):
-        lines.append(" dummy0 = 0")
+        yield " dummy0 = 0\n"
     for v in m.bounded_reals:
-        lines.append(f" 0 <= {v} <= 1")
+        yield f" 0 <= {v} <= 1\n"
     if m.binaries:
-        lines.append("Binary")
+        yield "Binary\n"
         for v in m.binaries:
-            lines.append(f" {v}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+            yield f" {v}\n"
+    yield "End\n"
+
+
+def write_lp(m: IpModel) -> str:
+    """The LP text of lp_lines as one string."""
+    return "".join(lp_lines(m))
 
 
 def _parse_terms(tokens: list[str], where: str) -> tuple[tuple[int, str], ...]:
@@ -305,7 +308,7 @@ def _parse_terms(tokens: list[str], where: str) -> tuple[tuple[int, str], ...]:
             sign = 1
         else:
             if not _NAME_RE.match(tok):
-                raise DocumentError(f"invalid variable name {tok!r} in {where}")
+                raise DocumentError(f"invalid variable name {quote(tok)} in {where}")
             coef = pending if pending is not None else sign
             terms.append((coef, tok))
             pending = None
@@ -326,7 +329,7 @@ def read_lp(text: str) -> IpModel:
     elif head in ("maximize", "max"):
         sense = "max"
     else:
-        raise DocumentError(f"expected Minimize/Maximize, got {lines[0]!r}")
+        raise DocumentError(f"expected Minimize/Maximize, got {quote(lines[0])}")
     i = 1
     obj_tokens: list[str] = []
     while i < len(lines) and lines[i].lower() != "subject to":
@@ -343,7 +346,7 @@ def read_lp(text: str) -> IpModel:
     while i < len(lines) and lines[i].lower() not in ("bounds", "binary", "end"):
         line = lines[i]
         if ":" not in line:
-            raise DocumentError(f"constraint without a name: {line!r}")
+            raise DocumentError(f"constraint without a name: {quote(line)}")
         name, body = line.split(":", 1)
         name = name.strip()
         tokens = body.split()
@@ -351,9 +354,9 @@ def read_lp(text: str) -> IpModel:
             (p for p, tok in enumerate(tokens) if tok in ("<=", "=", ">=")), None
         )
         if rel_pos is None or rel_pos != len(tokens) - 2:
-            raise DocumentError(f"malformed constraint {name!r}")
-        terms = _parse_terms(tokens[:rel_pos], f"constraint {name!r}")
-        rhs = parse_int(tokens[rel_pos + 1], f"right-hand side of {name!r}")
+            raise DocumentError(f"malformed constraint {quote(name)}")
+        terms = _parse_terms(tokens[:rel_pos], f"constraint {quote(name)}")
+        rhs = parse_int(tokens[rel_pos + 1], f"right-hand side of {quote(name)}")
         constraints.append(IpConstraint(name, terms, tokens[rel_pos], rhs))
         i += 1
     reals: list[str] = []
@@ -377,7 +380,7 @@ def read_lp(text: str) -> IpModel:
                 ):
                     reals.append(tokens[2])
                 else:
-                    raise DocumentError(f"unsupported bounds line: {lines[i]!r}")
+                    raise DocumentError(f"unsupported bounds line: {quote(lines[i])}")
                 i += 1
         elif section == "binary":
             i += 1
@@ -385,7 +388,7 @@ def read_lp(text: str) -> IpModel:
                 binaries.extend(lines[i].split())
                 i += 1
         else:
-            raise DocumentError(f"unexpected section {lines[i]!r}")
+            raise DocumentError(f"unexpected section {quote(lines[i])}")
     try:
         return IpModel(sense, objective, tuple(constraints), tuple(binaries), tuple(reals))
     except ValidationError as exc:

@@ -32,7 +32,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .common import INFINITE, DocumentError, ValidationError, parse_int
+from .common import INFINITE, DocumentError, ValidationError, parse_int, quote
 from .reduction import GraphEdge, GraphNode, PartGraph, PartitionAssignment
 
 __all__ = [
@@ -618,15 +618,15 @@ def parse_graph(text: str, part_capacities) -> PartGraph:
         raise DocumentError("empty graph file")
     header = lines[0].split()
     if len(header) not in (2, 3, 4):
-        raise DocumentError(f"malformed graph header: {lines[0]!r}")
+        raise DocumentError(f"malformed graph header: {quote(lines[0])}")
     n, m = parse_int(header[0], "node count"), parse_int(header[1], "edge count")
     fmt = header[2] if len(header) > 2 else "000"
     if fmt not in ("011", "11"):
-        raise DocumentError(f"unsupported graph format {fmt!r} (need node+edge weights)")
+        raise DocumentError(f"unsupported graph format {quote(fmt)} (need node+edge weights)")
     ncon = parse_int(header[3], "constraint count") if len(header) > 3 else 1
     if ncon < 1:
         raise DocumentError(
-            f"graph header {lines[0]!r} gives {ncon} constraints, need at least 1")
+            f"graph header {quote(lines[0])} gives {ncon} constraints, need at least 1")
     if len(lines) - 1 != n:
         raise DocumentError(f"graph file has {len(lines) - 1} node lines for n={n}")
     width = len(str(n))
@@ -637,11 +637,11 @@ def parse_graph(text: str, part_capacities) -> PartGraph:
         try:
             fields = [int(x) for x in line.split()]
         except ValueError:
-            raise DocumentError(f"non-integer field on node line {i}: {line!r}") from None
+            raise DocumentError(f"non-integer field on node line {i}: {quote(line)}") from None
         if len(fields) < ncon or (len(fields) - ncon) % 2 != 0:
-            raise DocumentError(f"malformed node line {i}: {line!r}")
+            raise DocumentError(f"malformed node line {i}: {quote(line)}")
         if min(fields[:ncon]) < 0:
-            raise DocumentError(f"negative node weight on node line {i}: {line!r}")
+            raise DocumentError(f"negative node weight on node line {i}: {quote(line)}")
         nodes.append(GraphNode(ids[i - 1], tuple(fields[:ncon])))
         rest = fields[ncon:]
         for j in range(0, len(rest), 2):

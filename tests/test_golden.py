@@ -27,6 +27,9 @@ from placer import (
     plan_workload,
     write_lp,
 )
+from placer.cli import main
+
+from conftest import FIG2_DOC, GDP_EXAMPLE_DOC
 
 GOLDEN_SHA256 = "e72854dea33bafd119f6dc12a8ac39af9b5b0dc3b75dff431b07e52482bddcaa"
 
@@ -112,7 +115,7 @@ def test_slack0_digest():
     assert _digest(plan_records(SLACK0)) == SLACK0_SHA256
 
 
-def test_lp_digests(fig2, gdp_example):
+def test_lp_digests(fig2, gdp_example, tmp_path):
     models = {
         "dp fig2": build_dp_ip(fig2),
         "dp tpcds seed 1, 8 servers": build_dp_ip(_tpcds()),
@@ -122,3 +125,16 @@ def test_lp_digests(fig2, gdp_example):
     digests = {key: hashlib.sha256(write_lp(m).encode()).hexdigest()
                for key, m in models.items()}
     assert digests == LP_SHA256
+    # The file `export-ip` writes holds the same bytes.
+    fig2_file, views_file = tmp_path / "fig2.json", tmp_path / "views.json"
+    fig2_file.write_text(FIG2_DOC)
+    views_file.write_text(GDP_EXAMPLE_DOC)
+    runs = {
+        "dp fig2": [fig2_file, "--model", "dp"],
+        "replication fig2, r = 2": [fig2_file, "--model", "replication", "--replication", "2"],
+        "gdp example": [views_file, "--model", "gdp"],
+    }
+    for key, args in runs.items():
+        out = tmp_path / "model.lp"
+        assert main(["export-ip", *map(str, args), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == LP_SHA256[key], key

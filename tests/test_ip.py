@@ -1,16 +1,19 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 
 from placer.common import ValidationError
 from placer.gdp import parse_gdp
+from placer.generate import GenSpec, generate
 from placer.ip import (
     IpConstraint,
     IpModel,
     build_dp_ip,
     build_gdp_ip,
     build_replication_ip,
+    lp_lines,
     read_lp,
     write_lp,
 )
@@ -210,6 +213,23 @@ def test_write_lp_empty_objective_dummy():
 def test_write_lp_maximize_header():
     model = IpModel("max", ((1, "a"),), (), ("a",), ())
     assert write_lp(model).splitlines()[0] == "Maximize"
+
+
+def test_lp_lines_streams(tmp_path):
+    """Writing lp_lines to a file never holds the LP text in memory."""
+    w = generate(GenSpec(shape="random", n_tables=200, n_queries=200, n_servers=16, seed=3))
+    model = build_dp_ip(w)
+    path = tmp_path / "model.lp"
+    tracemalloc.start()
+    try:
+        with path.open("w") as f:
+            f.writelines(lp_lines(model))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert path.read_text() == write_lp(model)
+    assert peak < size / 10, (peak, size)
 
 
 def test_lp_round_trip_fig2(fig2):

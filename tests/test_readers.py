@@ -30,10 +30,21 @@ def read_graph(text: str):
     (read_graph, "2 1 011 1\n1 q 1\n1 1 1\n", "non-integer field on node line 1: '1 q 1'"),
     (read_lp, "Minimize\n obj: 1 x\nSubject To\n c1: 1 x <= abc\nEnd\n",
      "invalid right-hand side of 'c1' 'abc'"),
+    # Long tokens are quoted in part, with their length.
+    pytest.param(read_lp, f"Minimize\n obj: {'1' * 5001} x\nSubject To\nEnd\n",
+                 f"invalid coefficient in objective '{'1' * 40}'... (5001 characters)",
+                 id="read_lp-5001-digit-coefficient"),
+    pytest.param(read_graph, f"2 {'1' * 5001} 011 1\n1 2 1\n1 1 1\n",
+                 f"invalid edge count '{'1' * 40}'... (5001 characters)",
+                 id="read_graph-5001-digit-edge-count"),
+    pytest.param(read_graph, f"2 1 011 1\n{'z' * 5001} 2 1\n1 1 1\n",
+                 f"non-integer field on node line 1: '{'z' * 40}'... (5005 characters)",
+                 id="read_graph-5005-character-node-line"),
 ])
 def test_non_integer_fields_are_document_errors(read, text, message):
-    with pytest.raises(DocumentError, match=re.escape(message)):
+    with pytest.raises(DocumentError, match=re.escape(message)) as info:
         read(text)
+    assert len(str(info.value)) < 200
 
 
 @pytest.fixture(scope="module")
