@@ -50,7 +50,6 @@ from .reduction import (
     build_dp_graph,
     build_gdp_graph,
     contract_infinite_edges,
-    encode_big_m,
 )
 from .replication import ReplicationConfig, heuristic1, heuristic2, max_part_size
 from .workload import (

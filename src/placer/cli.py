@@ -16,8 +16,8 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
-from .common import INFINITE, DocumentError, PlacerError
-from .evaluate import CostReport, Placement, decode_dp, decode_gdp, dp_cost, gdp_cost
+from .common import INFINITE, DocumentError, PlacerError, quote
+from .evaluate import CostReport, Placement, dp_cost
 from .gdp import ViewDag, parse_gdp
 from .generate import GenSpec, generate
 from .ip import build_dp_ip, build_gdp_ip, build_replication_ip, lp_lines
@@ -29,8 +29,7 @@ from .partition import (
     export_graph,
     import_partition,
 )
-from .pipeline import plan_view_dag, plan_workload
-from .reduction import PartGraph, build_dp_graph, build_gdp_graph, encode_big_m
+from .pipeline import cost_of, decode, graph_of, plan_view_dag, plan_workload
 from .replication import ReplicationConfig, heuristic1, heuristic2, max_part_size
 from .workload import (
     Workload,
@@ -61,18 +60,6 @@ def _read_input(path: str) -> tuple[str, str]:
 
 def _out_path(args, source: str, suffix: str) -> Path:
     return Path(args.out) if args.out else Path(source).with_suffix(suffix)
-
-
-def _cost(p: Placement, instance: Workload | ViewDag) -> CostReport:
-    if isinstance(instance, ViewDag):
-        return gdp_cost(p, instance)
-    return dp_cost(p, instance)
-
-
-def _graph(instance: Workload | ViewDag, with_load: bool) -> PartGraph:
-    if isinstance(instance, ViewDag):
-        return build_gdp_graph(instance, with_load=with_load)
-    return build_dp_graph(instance, with_load=with_load)
 
 
 def _load_instance(text: str) -> Workload | ViewDag:
@@ -122,7 +109,7 @@ def placement_from_document(text: str, instance: Workload | ViewDag) -> Placemen
 
     def to_index(sid: object) -> int:
         if not isinstance(sid, str) or sid not in index:
-            raise DocumentError(f"placement references unknown server {sid!r}")
+            raise DocumentError(f"placement references unknown server {quote(sid)}")
         return index[sid]
 
     def section(key: str) -> dict:
@@ -133,25 +120,26 @@ def placement_from_document(text: str, instance: Workload | ViewDag) -> Placemen
         known = set(ids)
         for oid in entries:
             if oid not in known:
-                raise DocumentError(f"placement {key!r} names {oid!r}, which is not a {kind}")
+                raise DocumentError(
+                    f"placement {key!r} names {quote(oid)}, which is not a {kind}")
         return entries
 
     store = {}
     for oid, copies in section("store").items():
         if not isinstance(copies, list) or not copies:
             raise DocumentError(
-                f"copies of {oid!r} must be a nonempty list of server ids"
+                f"copies of {quote(oid)} must be a nonempty list of server ids"
             )
         ks = tuple(sorted(to_index(sid) for sid in copies))
         if len(set(ks)) != len(ks):
-            raise DocumentError(f"copies of {oid!r} name a server twice")
+            raise DocumentError(f"copies of {quote(oid)} name a server twice")
         store[oid] = ks
     compute = {oid: to_index(sid) for oid, sid in section("compute").items()}
     placed = {"store": store, "compute": compute}
     for key in ("store", "compute") if isinstance(instance, ViewDag) else ("store",):
         for oid in objects[key][1]:
             if oid not in placed[key]:
-                raise DocumentError(f"placement {key!r} lacks {oid!r}")
+                raise DocumentError(f"placement {key!r} lacks {quote(oid)}")
     return Placement(store, compute)
 
 
@@ -267,7 +255,7 @@ def cmd_plan(args) -> int:
     # Self-consistency gate: the report must match a fresh evaluation of
     # the file we just wrote.
     reread = placement_from_document(_read_text(out_path), instance)
-    if _cost(reread, instance).total_cost != outcome.report.total_cost:
+    if cost_of(reread, instance).total_cost != outcome.report.total_cost:
         print("error: emitted placement does not reproduce the reported cost",
               file=sys.stderr)
         return EXIT_ERROR
@@ -318,7 +306,7 @@ def cmd_cost(args) -> int:
     instance = _load_instance(text)
     placement = placement_from_document(_read_text(args.placement), instance)
     return _report(args, "cost", digest, [f"placement: {args.placement}"],
-                   _cost(placement, instance), _server_ids(instance), [])
+                   cost_of(placement, instance), _server_ids(instance), [])
 
 
 def cmd_replicate(args) -> int:
@@ -367,10 +355,7 @@ def cmd_gen(args) -> int:
 
 def cmd_export_graph(args) -> int:
     text, digest = _read_input(args.input)
-    graph = _graph(_load_instance(text), args.load)
-    if graph.has_infinite_edges():
-        graph = encode_big_m(graph)
-        print("note: infinite edges encoded as big-M for export", file=sys.stderr)
+    graph, _ = graph_of(_load_instance(text), args.load)
     out_path = _out_path(args, args.input, ".graph")
     out_path.write_text(export_graph(graph))
     print(f"graph: {out_path}")
@@ -388,15 +373,12 @@ def cmd_import_partition(args) -> int:
     text, digest = _read_input(args.input)
     instance = _load_instance(text)
     server_ids = _server_ids(instance)
-    graph = _graph(instance, args.load)
+    graph, merge_map = graph_of(instance, args.load)
     assignment = import_partition(_read_text(args.partition), graph)
-    if isinstance(instance, ViewDag):
-        placement = decode_gdp(assignment, instance)
-    else:
-        placement = decode_dp(assignment, instance, resite=not args.load)
+    placement = decode(assignment, instance, merge_map, args.load)
     out_path = _out_path(args, args.partition, ".placement.json")
     out_path.write_text(placement_to_document(placement, server_ids))
-    return _report(args, "import-partition", digest, [], _cost(placement, instance),
+    return _report(args, "import-partition", digest, [], cost_of(placement, instance),
                    server_ids, [f"placement: {out_path}"])
 
 

@@ -31,12 +31,15 @@ class ValidationError(PlacerError):
 QUOTE_LIMIT = 40
 
 
-def quote(text: str) -> str:
-    """repr of a piece of document text for an error message; longer text
-    is cut to QUOTE_LIMIT characters and its length given."""
+def quote(value: object) -> str:
+    """repr of a piece of document text, or of any other document value,
+    for an error message; a longer repr is cut to QUOTE_LIMIT characters
+    of the text and its length given."""
+    text = value if isinstance(value, str) else repr(value)
     if len(text) <= QUOTE_LIMIT:
-        return repr(text)
-    return f"{text[:QUOTE_LIMIT]!r}... ({len(text)} characters)"
+        return repr(value)
+    cut = repr(text[:QUOTE_LIMIT]) if isinstance(value, str) else text[:QUOTE_LIMIT]
+    return f"{cut}... ({len(text)} characters)"
 
 
 def parse_int(token: str, what: str) -> int:

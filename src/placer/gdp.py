@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 
-from .common import INFINITE, INT64_MAX, DocumentError
+from .common import INFINITE, INT64_MAX, DocumentError, quote
 from .workload import (
     Server,
     Workload,
@@ -93,26 +93,26 @@ def make_view(
     """Build a view with class-dependent defaults and contradiction checks."""
     if kind is ViewClass.BASE_TABLE:
         if size is None:
-            raise DocumentError(f"base table {vid!r} needs a size")
+            raise DocumentError(f"base table {quote(vid)} needs a size")
         if transfer_cost is not None and transfer_cost != INFINITE:
             raise DocumentError(
-                f"base table {vid!r} cannot have a finite transfer_cost"
+                f"base table {quote(vid)} cannot have a finite transfer_cost"
             )
         stored, move = size, INFINITE
     elif kind is ViewClass.QUERY:
         if size not in (None, 0):
-            raise DocumentError(f"query view {vid!r} must have size 0")
+            raise DocumentError(f"query view {quote(vid)} must have size 0")
         stored = 0
         move = INFINITE if transfer_cost is None else transfer_cost
     elif kind is ViewClass.MATERIALIZED_VIEW:
         if size is None:
-            raise DocumentError(f"materialized view {vid!r} needs a size")
+            raise DocumentError(f"materialized view {quote(vid)} needs a size")
         stored = size
         move = size if transfer_cost is None else transfer_cost
     else:  # INTERMEDIATE: result size rides on transfer_cost, nothing stored
         if size not in (None, 0):
             raise DocumentError(
-                f"intermediate {vid!r} must have size 0 "
+                f"intermediate {quote(vid)} must have size 0 "
                 "(declare the result size as transfer_cost)"
             )
         stored = 0
@@ -125,7 +125,7 @@ def _parse_transfer(value: object, vid: str) -> int | float | None:
         return None
     if value == "inf":
         return INFINITE
-    return _nonneg(value, f"transfer_cost of view {vid!r}")
+    return _nonneg(value, "transfer_cost of view {}", vid)
 
 
 def _parse_view(entry: dict) -> View:
@@ -136,21 +136,21 @@ def _parse_view(entry: dict) -> View:
     except ValueError:
         names = ", ".join(c.value for c in ViewClass)
         raise DocumentError(
-            f"view {vid!r} has unknown class {raw_kind!r} (expected one of {names})"
+            f"view {quote(vid)} has unknown class {quote(raw_kind)} (expected one of {names})"
         ) from None
     size = entry.get("size")
     if size is not None:
-        size = _nonneg(size, f"size of view {vid!r}")
+        size = _nonneg(size, "size of view {}", vid)
     exec_cost = entry.get("exec_cost")
     if exec_cost is not None:
-        exec_cost = _nonneg(exec_cost, f"exec_cost of view {vid!r}")
+        exec_cost = _nonneg(exec_cost, "exec_cost of view {}", vid)
     return make_view(vid, kind, size, _parse_transfer(entry.get("transfer_cost"), vid), exec_cost)
 
 
 def _parse_arc(entry: dict) -> Arc:
     consumer = _as_id(entry.get("consumer"), "arc consumer")
     producer = _as_id(entry.get("producer"), "arc producer")
-    cost = _nonneg(entry.get("cost"), f"cost of arc {consumer!r}->{producer!r}")
+    cost = _nonneg(entry.get("cost"), "cost of arc {}->{}", consumer, producer)
     return Arc(consumer, producer, cost)
 
 
@@ -180,14 +180,14 @@ def validate_view_dag(d: ViewDag) -> None:
     for a in d.arcs:
         for endpoint in (a.consumer, a.producer):
             if endpoint not in by_id:
-                raise DocumentError(f"arc references undefined view {endpoint!r}")
+                raise DocumentError(f"arc references undefined view {quote(endpoint)}")
         if (a.consumer, a.producer) in seen_pairs:
-            raise DocumentError(f"duplicate arc {a.consumer!r}->{a.producer!r}")
+            raise DocumentError(f"duplicate arc {quote(a.consumer)}->{quote(a.producer)}")
         seen_pairs.add((a.consumer, a.producer))
         if by_id[a.consumer].kind is ViewClass.BASE_TABLE:
-            raise DocumentError(f"base table {a.consumer!r} cannot depend on other views")
+            raise DocumentError(f"base table {quote(a.consumer)} cannot depend on other views")
         if by_id[a.producer].kind is ViewClass.QUERY:
-            raise DocumentError(f"query view {a.producer!r} cannot have consumers")
+            raise DocumentError(f"query view {quote(a.producer)} cannot have consumers")
         order.add(a.producer, a.consumer)
     try:
         order.prepare()

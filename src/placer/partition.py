@@ -557,7 +557,7 @@ def export_graph(g: PartGraph) -> str:
     fmt=011, then one line per node (weights, then neighbor/weight
     pairs, 1-based, ordered by node id)."""
     if g.has_infinite_edges():
-        raise ValidationError("apply big-M encoding before exporting infinite edges")
+        raise ValidationError("contract infinite edges before exporting")
     _, mesh = _mesh_of(g)
     lines = [f"{mesh.n} {len(mesh.edges)} 011 {mesh.ncon}"]
     for u in range(mesh.n):

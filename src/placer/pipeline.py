@@ -1,5 +1,9 @@
 """End-to-end planning: reduce, partition, decode, evaluate.
 
+The one place that maps an instance kind (plain workload or view DAG)
+to its reduction, decoder and cost function; planning and the graph
+file round trip share them.
+
 Also hosts the load-ratio sweep.  A min-to-max load-ratio target rho is
 enforced through the second capacity component: with total load L over l
 servers, capping every server's load at floor(L / (rho + l - 1))
@@ -16,7 +20,8 @@ from .common import INFINITE
 from .evaluate import CostReport, Placement, decode_dp, decode_gdp, dp_cost, gdp_cost
 from .gdp import ViewClass, ViewDag
 from .partition import PartitionConfig, PartitionResult, partition
-from .reduction import build_dp_graph, build_gdp_graph, contract_infinite_edges
+from .reduction import (PartGraph, PartitionAssignment, build_dp_graph, build_gdp_graph,
+                        contract_infinite_edges)
 from .workload import Server, Workload
 
 __all__ = [
@@ -24,6 +29,9 @@ __all__ = [
     "load_ratio_cap",
     "plan_workload",
     "plan_view_dag",
+    "graph_of",
+    "decode",
+    "cost_of",
     "BalanceLevel",
     "balance_sweep",
 ]
@@ -68,6 +76,50 @@ def _apply_ratio(w: Workload, ratio: Fraction) -> Workload:
     return Workload(w.tables, w.queries, servers)
 
 
+def graph_of(
+    instance: Workload | ViewDag, with_load: bool = False
+) -> tuple[PartGraph, dict[str, str]]:
+    """The graph an instance reduces to, and the merge map that decodes
+    a partition of it.  A view DAG's infinite edges are contracted; a
+    workload's graph has none, so it comes back as built with an empty
+    map."""
+    if isinstance(instance, ViewDag):
+        return contract_infinite_edges(build_gdp_graph(instance, with_load=with_load))
+    return build_dp_graph(instance, with_load=with_load), {}
+
+
+def decode(assignment: PartitionAssignment, instance: Workload | ViewDag,
+           merge_map: dict[str, str], with_load: bool = False) -> Placement:
+    """The placement a partition of `graph_of(instance, with_load)`
+    stands for."""
+    if isinstance(instance, ViewDag):
+        return decode_gdp(assignment, instance, merge_map)
+    # Under load constraints queries stay where the partitioner put
+    # them; the cheapest-site shortcut would evade the execution caps.
+    return decode_dp(assignment, instance, resite=not with_load)
+
+
+def cost_of(placement: Placement, instance: Workload | ViewDag) -> CostReport:
+    """The exact cost report of a placement for its instance."""
+    if isinstance(instance, ViewDag):
+        return gdp_cost(placement, instance)
+    return dp_cost(placement, instance)
+
+
+def _plan(instance: Workload | ViewDag, cfg: PartitionConfig | None,
+          with_load: bool) -> PlanOutcome:
+    t0 = time.perf_counter()
+    graph, merge_map = graph_of(instance, with_load)
+    t1 = time.perf_counter()
+    result = partition(graph, cfg)
+    t2 = time.perf_counter()
+    placement = decode(result.assignment, instance, merge_map, with_load)
+    report = cost_of(placement, instance)
+    t3 = time.perf_counter()
+    timings = (("reduce", t1 - t0), ("partition", t2 - t1), ("decode", t3 - t2))
+    return PlanOutcome(placement, report, result, timings, graph.warnings)
+
+
 def plan_workload(
     w: Workload,
     cfg: PartitionConfig | None = None,
@@ -76,29 +128,10 @@ def plan_workload(
 ) -> PlanOutcome:
     """Plan a plain workload: bipartite reduction, partition, decode,
     exact cost report."""
-    timings = []
     if min_max_ratio is not None:
         with_load = True
         w = _apply_ratio(w, Fraction(min_max_ratio))
-    t0 = time.perf_counter()
-    graph = build_dp_graph(w, with_load=with_load)
-    timings.append(("reduce", time.perf_counter() - t0))
-    t0 = time.perf_counter()
-    result = partition(graph, cfg)
-    timings.append(("partition", time.perf_counter() - t0))
-    t0 = time.perf_counter()
-    # Under load constraints queries stay where the partitioner put
-    # them; the cheapest-site shortcut would evade the execution caps.
-    placement = decode_dp(result.assignment, w, resite=not with_load)
-    report = dp_cost(placement, w)
-    timings.append(("decode", time.perf_counter() - t0))
-    return PlanOutcome(
-        placement=placement,
-        report=report,
-        partition=result,
-        timings=tuple(timings),
-        warnings=graph.warnings,
-    )
+    return _plan(w, cfg, with_load)
 
 
 def plan_view_dag(
@@ -118,25 +151,7 @@ def plan_view_dag(
             for v in d.views
         )
         d = ViewDag(views, d.arcs, d.servers)
-    timings = []
-    t0 = time.perf_counter()
-    graph = build_gdp_graph(d, with_load=with_load)
-    contracted, merge_map = contract_infinite_edges(graph)
-    timings.append(("reduce", time.perf_counter() - t0))
-    t0 = time.perf_counter()
-    result = partition(contracted, cfg)
-    timings.append(("partition", time.perf_counter() - t0))
-    t0 = time.perf_counter()
-    placement = decode_gdp(result.assignment, d, merge_map)
-    report = gdp_cost(placement, d)
-    timings.append(("decode", time.perf_counter() - t0))
-    return PlanOutcome(
-        placement=placement,
-        report=report,
-        partition=result,
-        timings=tuple(timings),
-        warnings=contracted.warnings,
-    )
+    return _plan(d, cfg, with_load)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ node (weight = stored size) and a compute-side node (weight 0), joined
 by an edge weighted with the view's transfer cost; each dependency arc
 joins the producer's storage node to the consumer's compute node.
 Infinite transfer costs pin compute to storage and are eliminated by
-contraction before partitioning; big-M encoding is only for file export.
+contraction, both before partitioning and before file export.
 """
 from __future__ import annotations
 
@@ -34,7 +34,6 @@ __all__ = [
     "build_dp_graph",
     "build_gdp_graph",
     "contract_infinite_edges",
-    "encode_big_m",
 ]
 
 @dataclass(frozen=True)
@@ -218,17 +217,3 @@ def contract_infinite_edges(g: PartGraph) -> tuple[PartGraph, dict[str, str]]:
     out = PartGraph(tuple(nodes), edges, g.part_capacities, tuple(warnings))
     return out, merge_map
 
-
-def encode_big_m(g: PartGraph) -> PartGraph:
-    """Replace infinite edge weights with 1 + the sum of all finite weights.
-
-    Only for file export, where contraction is unavailable; within the
-    library contraction is exact and always preferred.
-    """
-    if not g.has_infinite_edges():
-        return g
-    big = 1 + sum(e.weight for e in g.edges if e.weight != INFINITE)
-    edges = tuple(
-        e if e.weight != INFINITE else GraphEdge(e.u, e.v, big) for e in g.edges
-    )
-    return PartGraph(g.nodes, edges, g.part_capacities, g.warnings)

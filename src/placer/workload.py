@@ -19,7 +19,7 @@ import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .common import INT64_MAX, DocumentError
+from .common import INT64_MAX, DocumentError, quote
 
 __all__ = [
     "Table",
@@ -75,22 +75,27 @@ class Workload:
         return sum(t.size for t in self.tables)
 
 
-def _as_int(value: object, what: str) -> int:
+# A field is named by a template with one {} per id it quotes, filled in
+# only when its value is refused.
+def _as_int(value: object, what: str, *ids: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise DocumentError(f"{what} must be an integer, got {value!r}")
+        what = what.format(*map(quote, ids))
+        raise DocumentError(f"{what} must be an integer, got {quote(value)}")
     return value
 
 
-def _nonneg(value: object, what: str) -> int:
-    n = _as_int(value, what)
+def _nonneg(value: object, what: str, *ids: str) -> int:
+    n = _as_int(value, what, *ids)
     if n < 0:
-        raise DocumentError(f"{what} must be nonnegative, got {n}")
+        what = what.format(*map(quote, ids))
+        raise DocumentError(f"{what} must be nonnegative, got {quote(n)}")
     return n
 
 
-def _as_id(value: object, what: str) -> str:
+def _as_id(value: object, what: str, *ids: str) -> str:
     if not isinstance(value, str) or not value:
-        raise DocumentError(f"{what} must be a nonempty string, got {value!r}")
+        what = what.format(*map(quote, ids))
+        raise DocumentError(f"{what} must be a nonempty string, got {quote(value)}")
     return value
 
 
@@ -118,7 +123,7 @@ def check_sections(doc: dict, sections: tuple[str, ...]) -> None:
     for key in doc:
         if key not in sections:
             raise DocumentError(
-                f"unknown top-level key {key!r} (expected {', '.join(sections)})"
+                f"unknown top-level key {quote(key)} (expected {', '.join(sections)})"
             )
 
 
@@ -128,16 +133,16 @@ def document_entries(doc: dict, key: str) -> list[dict]:
         raise DocumentError(f"{key!r} must be a list")
     for entry in entries:
         if not isinstance(entry, dict):
-            raise DocumentError(f"entries of {key!r} must be objects, got {entry!r}")
+            raise DocumentError(f"entries of {key!r} must be objects, got {quote(entry)}")
     return entries
 
 
 def parse_server(entry: dict) -> Server:
     sid = _as_id(entry.get("id"), "server id")
-    cap = _nonneg(entry.get("storage_capacity"), f"storage_capacity of server {sid!r}")
+    cap = _nonneg(entry.get("storage_capacity"), "storage_capacity of server {}", sid)
     load = entry.get("load_capacity")
     if load is not None:
-        load = _nonneg(load, f"load_capacity of server {sid!r}")
+        load = _nonneg(load, "load_capacity of server {}", sid)
     return Server(sid, cap, load)
 
 
@@ -151,28 +156,28 @@ def server_entry(s: Server) -> dict:
 
 def _parse_table(entry: dict) -> Table:
     tid = _as_id(entry.get("id"), "table id")
-    return Table(tid, _nonneg(entry.get("size"), f"size of table {tid!r}"))
+    return Table(tid, _nonneg(entry.get("size"), "size of table {}", tid))
 
 
 def _parse_query(entry: dict) -> Query:
     qid = _as_id(entry.get("id"), "query id")
     raw_refs = entry.get("refs")
     if not isinstance(raw_refs, list) or not raw_refs:
-        raise DocumentError(f"query {qid!r} must have a nonempty 'refs' list")
+        raise DocumentError(f"query {quote(qid)} must have a nonempty 'refs' list")
     refs = []
     for ref in raw_refs:
         if not isinstance(ref, dict):
-            raise DocumentError(f"refs of query {qid!r} must be objects")
-        table = _as_id(ref.get("table"), f"ref table of query {qid!r}")
-        cost = _nonneg(ref.get("cost"), f"cost of ref {qid!r}->{table!r}")
+            raise DocumentError(f"refs of query {quote(qid)} must be objects")
+        table = _as_id(ref.get("table"), "ref table of query {}", qid)
+        cost = _nonneg(ref.get("cost"), "cost of ref {}->{}", qid, table)
         refs.append(QueryRef(table, cost))
     freq = entry.get("frequency", 1)
-    freq = _as_int(freq, f"frequency of query {qid!r}")
+    freq = _as_int(freq, "frequency of query {}", qid)
     if freq < 1:
-        raise DocumentError(f"frequency of query {qid!r} must be >= 1, got {freq}")
+        raise DocumentError(f"frequency of query {quote(qid)} must be >= 1, got {quote(freq)}")
     exec_cost = entry.get("exec_cost")
     if exec_cost is not None:
-        exec_cost = _nonneg(exec_cost, f"exec_cost of query {qid!r}")
+        exec_cost = _nonneg(exec_cost, "exec_cost of query {}", qid)
     return Query(qid, tuple(refs), freq, exec_cost)
 
 
@@ -194,7 +199,7 @@ def check_unique(ids: Iterable[str], what: str) -> None:
     seen: set[str] = set()
     for i in ids:
         if i in seen:
-            raise DocumentError(f"duplicate {what}: {i!r}")
+            raise DocumentError(f"duplicate {what}: {quote(i)}")
         seen.add(i)
 
 
@@ -215,11 +220,11 @@ def validate_workload(w: Workload) -> None:
         for r in q.refs:
             if r.table not in table_ids:
                 raise DocumentError(
-                    f"query {q.id!r} references undefined table {r.table!r}"
+                    f"query {quote(q.id)} references undefined table {quote(r.table)}"
                 )
             if r.table in used:
                 raise DocumentError(
-                    f"query {q.id!r} references table {r.table!r} more than once"
+                    f"query {quote(q.id)} references table {quote(r.table)} more than once"
                 )
             used.add(r.table)
     check_server_ids(w.servers)

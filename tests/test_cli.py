@@ -1,11 +1,18 @@
+import itertools
 import json
+import random
 import re
 
 import pytest
 
+from placer import pipeline
 from placer.cli import main
+from placer.gdp import parse_gdp, serialize_gdp
+from placer.partition import export_graph, partition
+from placer.pipeline import graph_of
 
 from conftest import FIG2_DOC, GDP_EXAMPLE_DOC
+from helpers import random_view_dag
 
 
 @pytest.fixture
@@ -212,13 +219,13 @@ def test_export_graph(capsys, tmp_path, fig2_file):
     assert "target fractions" in out
 
 
-def test_export_graph_big_m_note(capsys, tmp_path, gdp_file):
+def test_export_graph_contracts_view_dag(capsys, tmp_path, gdp_file):
+    # The base tables V1-V3 and the pinned intermediate V4 contract to
+    # one node each, and V5-V7 keep both sides: 10 nodes of 14.
     out_path = tmp_path / "views.graph"
-    code, out, err = run(capsys, "export-graph", gdp_file, "--out", out_path)
-    assert code == 0
-    assert "big-M" in err
-    header = out_path.read_text().splitlines()[0]
-    assert header == "14 15 011 1"
+    code, _, err = run(capsys, "export-graph", gdp_file, "--out", out_path)
+    assert code == 0 and err == ""
+    assert out_path.read_text().splitlines()[0] == "10 11 011 1"
 
 
 def test_export_graph_load_without_load_capacities_splits_load_evenly(capsys, tmp_path):
@@ -262,11 +269,11 @@ def test_import_partition_load_keeps_query_sites(capsys, tmp_path, fig2_file):
 
 
 def test_import_partition_gdp(capsys, tmp_path, gdp_file):
-    # Node order is c:V1..c:V7, then s:V1..s:V7; both sides of V1, V4 and
-    # V5 go to S1, the rest to S2.  The graph keeps its infinite edge.
-    sides = "0 1 1 0 0 1 1".split()
+    # Node order is c:V1..c:V7 (V1-V4 with their storage sides merged
+    # in), then s:V5, s:V6, s:V7.  Both sides of V1, V4 and V5 go to S1,
+    # the rest to S2.
     part_path = tmp_path / "views.part"
-    part_path.write_text("\n".join(sides + sides) + "\n")
+    part_path.write_text("\n".join("0 1 1 0 0 1 1 0 1 1".split()) + "\n")
     out_path = tmp_path / "p.json"
     code, out, _ = run(capsys, "import-partition", gdp_file, part_path,
                        "--out", out_path)
@@ -274,6 +281,69 @@ def test_import_partition_gdp(capsys, tmp_path, gdp_file):
     assert "total cost: 27" in out  # arcs V4<-V2, V5<-V3, V7<-V4, V7<-V5
     doc = json.loads(out_path.read_text())
     assert doc["compute"]["V7"] == "S2" and doc["store"]["V5"] == ["S1"]
+
+
+def _import_all(capsys, tmp_path, instance_path, rows):
+    """import-partition of each part file (one row of parts per file)
+    against the graph export-graph writes: the JSON report of each."""
+    graph_path = tmp_path / "instance.graph"
+    assert run(capsys, "export-graph", instance_path, "--out", graph_path)[0] == 0
+    n = int(graph_path.read_text().split()[0])
+    part_path = tmp_path / "instance.part"
+    reports = []
+    for parts in rows:
+        assert len(parts) == n
+        part_path.write_text("".join(f"{p}\n" for p in parts))
+        code, out, _ = run(capsys, "import-partition", instance_path, part_path,
+                           "--format", "json", "--out", tmp_path / "p.json")
+        assert code in (0, 2)
+        reports.append(json.loads(out))
+    return reports
+
+
+def _keeps_pinned_views_whole(report):
+    return report["total_cost"] is not None and not any(
+        "immovable" in v for v in report["violations"])
+
+
+def test_every_partition_of_an_exported_view_dag_is_finite(capsys, tmp_path, gdp_file):
+    rows = list(itertools.product((0, 1), repeat=10))
+    reports = _import_all(capsys, tmp_path, gdp_file, rows)
+    assert all(_keeps_pinned_views_whole(r) for r in reports)
+    # The best placement within capacity is the oracle's optimum.
+    assert min(r["total_cost"] for r in reports if not r["violations"]) == 16
+
+
+def test_random_partitions_of_exported_view_dags_are_finite(capsys, tmp_path):
+    rng = random.Random(21)
+    for _ in range(30):
+        d = random_view_dag(rng, max_views=8, max_servers=3)
+        path = tmp_path / "dag.json"
+        path.write_text(serialize_gdp(d))
+        n = len(graph_of(d)[0].nodes)
+        rows = [[rng.randrange(len(d.servers)) for _ in range(n)] for _ in range(8)]
+        assert all(_keeps_pinned_views_whole(r)
+                   for r in _import_all(capsys, tmp_path, path, rows))
+
+
+@pytest.mark.parametrize("load", [False, True])
+def test_export_graph_writes_the_graph_plan_partitions(capsys, tmp_path, monkeypatch, load):
+    partitioned = []
+
+    def record(graph, cfg=None):
+        partitioned.append(graph)
+        return partition(graph, cfg)
+
+    monkeypatch.setattr(pipeline, "partition", record)
+    rng = random.Random(22)
+    dags = [parse_gdp(GDP_EXAMPLE_DOC)] + [random_view_dag(rng) for _ in range(10)]
+    flags = ["--load"] if load else []
+    for d in dags:
+        path = tmp_path / "dag.json"
+        path.write_text(serialize_gdp(d))
+        run(capsys, "export-graph", path, *flags, "--out", tmp_path / "dag.graph")
+        pipeline.plan_view_dag(d, with_load=load)
+        assert (tmp_path / "dag.graph").read_text() == export_graph(partitioned[-1])
 
 
 def test_export_ip_dp(capsys, tmp_path, fig2_file):

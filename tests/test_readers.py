@@ -398,3 +398,37 @@ def test_workload_duplicate_server_is_one_error_line(fig2_path):
     path.write_text(json.dumps(doc))
     assert run_cli("plan", path, "--out", path.with_name("out.placement.json")) == (
         1, f"error: duplicate server id: {doc['servers'][0]['id']!r}\n")
+
+
+LONG = "x" * 5000
+
+
+def _fig2_with(edit):
+    doc = json.loads(FIG2_DOC)
+    edit(doc)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("faulty, document", [
+    pytest.param("instance", _fig2_with(lambda d: d["tables"][0].update(size="1" * 5000)),
+                 id="5000-character-table-size"),
+    pytest.param("instance", _fig2_with(lambda d: [t.update(id=LONG) for t in d["tables"][:2]]),
+                 id="duplicated-5000-character-table-id"),
+    pytest.param("instance", json.dumps({
+        "views": [{"id": LONG, "class": "no-such-class"}],
+        "servers": [{"id": "S1", "storage_capacity": 1}]}),
+                 id="5000-character-view-id-with-bad-class"),
+    pytest.param("placement", json.dumps({
+        "store": {t: [LONG] for t in ("T1", "T2", "T3", "T4", "T5", "T6")},
+        "compute": {}}),
+                 id="5000-character-unknown-server-in-placement"),
+])
+def test_long_values_give_a_short_error_line(fig2_path, faulty, document):
+    # Error messages quote at most QUOTE_LIMIT characters of a value.
+    path = fig2_path.with_name("long-values.json")
+    path.write_text(document)
+    argv = (fig2_path, path) if faulty == "placement" else (path, fig2_path)
+    code, err = run_cli("cost", *argv)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "... (5000 characters)" in err and len(err) < 200

@@ -12,7 +12,6 @@ from placer.reduction import (
     build_dp_graph,
     build_gdp_graph,
     contract_infinite_edges,
-    encode_big_m,
 )
 from placer.workload import parse_workload
 
@@ -252,15 +251,3 @@ def test_lift_then_gdp_graph_contracts_to_dp_graph(fig2):
     }
     assert cg_edges == dp_edges
 
-
-def test_big_m_encoding():
-    nodes = (
-        GraphNode("a", (1,)),
-        GraphNode("b", (1,)),
-        GraphNode("c", (1,)),
-    )
-    edges = (GraphEdge("a", "b", INFINITE), GraphEdge("b", "c", 5))
-    g = PartGraph(nodes, edges, ((3,),))
-    out = encode_big_m(g)
-    assert {e.weight for e in out.edges} == {5, 6}  # big-M = 1 + sum(finite)
-    assert encode_big_m(out) is out  # nothing infinite left

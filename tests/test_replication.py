@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from placer.common import ValidationError
-from placer.evaluate import Placement, best_site, dp_cost
+from placer.evaluate import Placement, best_site, dp_cost, site_queries
 from placer.generate import GenSpec, generate
+from placer.ip import build_replication_ip
 from placer.partition import PartitionConfig
 from placer.replication import (
     ReplicationConfig,
@@ -15,6 +16,8 @@ from placer.replication import (
     max_part_size,
 )
 from placer.workload import Query, QueryRef, Server, Table, Workload
+
+from helpers import solve_ip
 
 # A lighter sweep keeps the repeated planning rounds quick in tests.
 FAST = PartitionConfig(seeds=(0, 1), slack_factors=(Fraction(0), Fraction(1, 4)))
@@ -187,3 +190,29 @@ def test_replication_cost_trend_tpcds():
             placement = heuristic2(w, ReplicationConfig(r, partition=FAST))
             costs.append(dp_cost(placement, w).total_cost)
     assert costs[0] >= costs[1] >= costs[2]
+
+
+def test_heuristics_against_a_proven_replication_optimum():
+    # 10x10 random workload on 4 servers; capacity 119 is
+    # ceil(2 * total / 4) plus the largest table, so two copies fit.
+    # HiGHS proves the r = 2 optimum in a few seconds: the transfer cost
+    # of every reference minus the IP's largest saving.  The heuristics
+    # are bounded by what they reach today, which records their gap and
+    # catches a regression.
+    w = generate(GenSpec(shape="random", n_tables=10, n_queries=10, n_servers=4,
+                         seed=2, server_capacity=119))
+    assert 119 == -(-2 * w.total_size() // 4) + max(t.size for t in w.tables)
+    saving, values = solve_ip(build_replication_ip(w, 2))
+    gross = sum(q.frequency * sum(r.cost for r in q.refs) for q in w.queries)
+    assert gross - saving == 28
+    # The solution is a legal placement of that cost.
+    store = {
+        t.id: tuple(k for k in range(4) if any(values[f"xr{h}_T{j}_S{k + 1}"] for h in (1, 2)))
+        for j, t in enumerate(w.tables, start=1)
+    }
+    optimum = dp_cost(site_queries(store, w), w)
+    assert optimum.total_cost == 28 and not optimum.violations
+    for heuristic, bound in ((heuristic2, 45), (heuristic1, 68)):
+        report = dp_cost(heuristic(w, ReplicationConfig(2)), w)
+        assert not report.violations
+        assert 28 <= report.total_cost <= bound
