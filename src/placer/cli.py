@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 import warnings
@@ -359,6 +360,8 @@ def cmd_export_graph(args) -> int:
     out_path = _out_path(args, args.input, ".graph")
     out_path.write_text(export_graph(graph))
     print(f"graph: {out_path}")
+    for wtext in graph.warnings:
+        print(f"warning: {wtext}")
     fractions = capacity_fractions(graph)
     # External partitioners balance by target fractions, not hard
     # capacities; s_k / sum(s) approximates the intent.
@@ -378,8 +381,10 @@ def cmd_import_partition(args) -> int:
     placement = decode(assignment, instance, merge_map, args.load)
     out_path = _out_path(args, args.partition, ".placement.json")
     out_path.write_text(placement_to_document(placement, server_ids))
+    extra = [f"placement: {out_path}"]
+    extra.extend(f"warning: {wtext}" for wtext in graph.warnings)
     return _report(args, "import-partition", digest, [], cost_of(placement, instance),
-                   server_ids, [f"placement: {out_path}"])
+                   server_ids, extra)
 
 
 def cmd_export_ip(args) -> int:
@@ -398,10 +403,17 @@ def cmd_export_ip(args) -> int:
             raise DocumentError("dp model needs a plain workload")
         model = build_dp_ip(instance)
     out_path = _out_path(args, args.input, ".lp")
-    # Built in full first, so a model that fails to build leaves no file;
-    # then streamed, so the LP text is never held in memory.
-    with out_path.open("w") as f:
-        f.writelines(lp_lines(model))
+    # Rows are built and checked as they are written, so the model is
+    # streamed to a sibling file that replaces --out only once complete:
+    # a model that fails mid-stream leaves no file and --out untouched.
+    partial = out_path.with_name(f".{out_path.name}.{os.getpid()}.partial")
+    try:
+        with partial.open("w") as f:
+            f.writelines(lp_lines(model))
+        partial.replace(out_path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
     print(f"lp: {out_path}")
     print(f"input sha256: {digest}")
     return EXIT_OK

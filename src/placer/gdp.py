@@ -192,12 +192,15 @@ def validate_view_dag(d: ViewDag) -> None:
     try:
         order.prepare()
     except graphlib.CycleError as exc:
-        # Each view in the reported cycle depends on the next; report it
-        # from its first view in document order.
+        # Each view in the reported cycle depends on the next.  Name its
+        # first view in document order and the view that one depends on,
+        # then the cycle's length, so the line stays short.
         cycle = exc.args[1][:-1]
         i = cycle.index(min(cycle, key=list(by_id).index))
         cycle = cycle[i:] + cycle[:i]
-        raise DocumentError("cycle detected: " + " -> ".join(cycle + cycle[:1])) from None
+        path = " -> ".join(quote(v) for v in (cycle + cycle)[:2])
+        more = f" -> ... ({len(cycle)} views)" if len(cycle) > 1 else ""
+        raise DocumentError(f"cycle detected: {path}{more}") from None
 
     check_server_ids(d.servers)
 

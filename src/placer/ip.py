@@ -12,12 +12,17 @@ Variables are named by 1-based positional indices (x_T1_S2, y_Q3_S1,
 z2_Q1_T4_S1, lam_Q1_T4, ...) so opaque object ids never leak into LP
 identifiers.  A term is a plain (coefficient, variable) pair, and a row
 is a named tuple that holds its terms as a tuple of such pairs.
+
+A builder computes the objective and the variables at once but yields
+its rows lazily, each time the model's rows are iterated, so a model
+the size of a 1000 x 1000 workload is written without its rows ever
+being held in memory together.
 """
 from __future__ import annotations
 
 import itertools
 import re
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -37,6 +42,7 @@ __all__ = [
 ]
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]{0,254}$")
+_RELATIONS = ("<=", "=", ">=")
 
 
 class IpConstraint(NamedTuple):
@@ -46,18 +52,45 @@ class IpConstraint(NamedTuple):
     rhs: int
 
 
+class _Rows:
+    """A builder's rows as a re-iterable stream: each iteration re-runs
+    the builder's row generator, so the rows are made while they are
+    written and never held together.  It equals any stream or tuple that
+    yields the same rows."""
+
+    __slots__ = ("_make",)
+
+    def __init__(self, make: Callable[[], Iterator[IpConstraint]]) -> None:
+        self._make = make
+
+    def __iter__(self) -> Iterator[IpConstraint]:
+        return self._make()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (_Rows, tuple)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    __hash__ = None
+
+
 @dataclass(frozen=True)
 class IpModel:
+    """An integer program.  `constraints` is any re-iterable of rows: a
+    builder's lazy stream or read_lp's tuple.  Construction checks all
+    but the rows; `checked_rows` checks each row as it yields it, and
+    lp_lines and read_lp see the rows only through it."""
+
     sense: str  # "min" | "max"
     objective: tuple[tuple[int, str], ...]  # (coef, var)
-    constraints: tuple[IpConstraint, ...]
+    constraints: Iterable[IpConstraint]
     binaries: tuple[str, ...]
     bounded_reals: tuple[str, ...]  # bounded to [0, 1]
 
     def __post_init__(self) -> None:
         if self.sense not in ("min", "max"):
             raise ValidationError(f"unknown objective sense {self.sense!r}")
-        declared = set(self.binaries) | set(self.bounded_reals)
+        declared = self._declared()
         if len(declared) != len(self.binaries) + len(self.bounded_reals):
             raise ValidationError("variable declared twice")
         for name in itertools.chain(self.binaries, self.bounded_reals):
@@ -65,21 +98,30 @@ class IpModel:
                 raise ValidationError(f"invalid variable name {quote(name)}")
         for _, var in self.objective:
             if var not in declared:
-                raise ValidationError(f"undeclared variable {var!r} in objective")
+                raise ValidationError(f"undeclared variable {quote(var)} in objective")
+
+    def _declared(self) -> set[str]:
+        return set(self.binaries) | set(self.bounded_reals)
+
+    def checked_rows(self) -> Iterator[IpConstraint]:
+        """The rows, each checked before it is yielded: a valid unique
+        name, a known relation and declared variables only."""
+        declared = self._declared()
         names = set()
         for c in self.constraints:
             if not _NAME_RE.match(c.name):
                 raise ValidationError(f"invalid constraint name {quote(c.name)}")
             if c.name in names:
-                raise ValidationError(f"duplicate constraint name {c.name!r}")
+                raise ValidationError(f"duplicate constraint name {quote(c.name)}")
             names.add(c.name)
-            if c.relation not in ("<=", "=", ">="):
-                raise ValidationError(f"bad relation {c.relation!r} in {c.name!r}")
+            if c.relation not in _RELATIONS:
+                raise ValidationError(f"bad relation {quote(c.relation)} in {quote(c.name)}")
             for _, var in c.terms:
                 if var not in declared:
                     raise ValidationError(
-                        f"undeclared variable {var!r} in constraint {c.name!r}"
+                        f"undeclared variable {quote(var)} in constraint {quote(c.name)}"
                     )
+            yield c
 
 
 def _site_rows(stems: list[str], l: int):
@@ -109,8 +151,21 @@ def _abs_diff(name: str, a: tuple, b: tuple, ind: tuple[int, str]) -> tuple[IpCo
     )
 
 
-def _flat(rows: list[list[str]]) -> tuple[str, ...]:
+def _flat(rows: Iterable[list[str]]) -> tuple[str, ...]:
     return tuple(itertools.chain.from_iterable(rows))
+
+
+def _weighted(weights: Iterable[int], names: Iterable[str]) -> tuple[tuple[int, str], ...]:
+    """The objective terms of the indicators with a positive weight."""
+    return tuple((coef, var) for coef, var in zip(weights, names) if coef > 0)
+
+
+def _references(w: Workload) -> list[tuple[int, int, int]]:
+    """(query, table, frequency-weighted cost) of every reference, by
+    position, in query order."""
+    t_index = {t.id: j for j, t in enumerate(w.tables)}
+    return [(i, t_index[r.table], q.frequency * r.cost)
+            for i, q in enumerate(w.queries) for r in q.refs]
 
 
 def build_dp_ip(w: Workload) -> IpModel:
@@ -118,32 +173,28 @@ def build_dp_ip(w: Workload) -> IpModel:
     equalities, storage capacities, and per-reference co-location
     indicators lam >= +-(x_query - x_table) driving the minimization."""
     l = len(w.servers)
-    reals = []
-    objective = []
-    t_index = {t.id: j for j, t in enumerate(w.tables)}
     x_t, plus_t, minus_t = _site_rows([f"x_T{j}" for j in range(1, len(w.tables) + 1)], l)
     x_q, plus_q, minus_q = _site_rows([f"x_Q{i}" for i in range(1, len(w.queries) + 1)], l)
-    constraints = [_one_of(f"assign_T{j}", row) for j, row in enumerate(plus_t, start=1)]
-    constraints += [_one_of(f"assign_Q{i}", row) for i, row in enumerate(plus_q, start=1)]
-    for k, s in enumerate(w.servers):
-        terms = tuple((t.size, x_t[j][k]) for j, t in enumerate(w.tables) if t.size > 0)
-        constraints.append(IpConstraint(f"cap_S{k + 1}", terms, "<=", s.storage_capacity))
-    for i, q in enumerate(w.queries):
-        for r in q.refs:
-            j = t_index[r.table]
-            lam = f"lam_Q{i + 1}_T{j + 1}"
-            reals.append(lam)
-            coef = q.frequency * r.cost
-            if coef > 0:
-                objective.append((coef, lam))
+    refs = _references(w)
+    lams = tuple(f"lam_Q{i + 1}_T{j + 1}" for i, j, _ in refs)
+
+    def rows() -> Iterator[IpConstraint]:
+        for j, row in enumerate(plus_t, start=1):
+            yield _one_of(f"assign_T{j}", row)
+        for i, row in enumerate(plus_q, start=1):
+            yield _one_of(f"assign_Q{i}", row)
+        for k, s in enumerate(w.servers):
+            terms = tuple((t.size, x_t[j][k]) for j, t in enumerate(w.tables) if t.size > 0)
+            yield IpConstraint(f"cap_S{k + 1}", terms, "<=", s.storage_capacity)
+        for (i, j, _), lam in zip(refs, lams):
             ind = (-1, lam)
             for k in range(l):
-                constraints.extend(_abs_diff(
+                yield from _abs_diff(
                     f"{lam}_S{k + 1}", (plus_q[i][k], minus_q[i][k]),
-                    (plus_t[j][k], minus_t[j][k]), ind))
-    return IpModel(
-        "min", tuple(objective), tuple(constraints), _flat(x_t) + _flat(x_q), tuple(reals)
-    )
+                    (plus_t[j][k], minus_t[j][k]), ind)
+
+    objective = _weighted((coef for _, _, coef in refs), lams)
+    return IpModel("min", objective, _Rows(rows), _flat(x_t) + _flat(x_q), lams)
 
 
 def build_replication_ip(w: Workload, r: int) -> IpModel:
@@ -155,47 +206,44 @@ def build_replication_ip(w: Workload, r: int) -> IpModel:
         raise ValidationError("replication factor must be >= 1")
     if r > l:
         raise ValidationError(f"replication factor {r} exceeds {l} servers")
-    reals = []
-    objective = []
-    t_index = {t.id: j for j, t in enumerate(w.tables)}
     y, plus_y, minus_y = _site_rows([f"y_Q{i}" for i in range(1, len(w.queries) + 1)], l)
     # Replica h of table j is row j * r + h (both 0-based).
     x, plus_x, minus_x = _site_rows(
         [f"xr{h}_T{j}" for j in range(1, len(w.tables) + 1) for h in range(1, r + 1)], l)
-    constraints = [_one_of(f"assign_Q{i}", row) for i, row in enumerate(plus_y, start=1)]
-    for j in range(len(w.tables)):
-        replicas = range(j * r, (j + 1) * r)
-        constraints += [_one_of(f"assign_T{j + 1}_r{h + 1}", plus_x[row])
-                        for h, row in enumerate(replicas)]
-        for k in range(l):
-            once = tuple(plus_x[row][k] for row in replicas)
-            constraints.append(IpConstraint(f"replica_once_T{j + 1}_S{k + 1}", once, "<=", 1))
-    for k, s in enumerate(w.servers):
-        terms = tuple(
-            (t.size, x[j * r + h][k])
-            for j, t in enumerate(w.tables)
-            if t.size > 0
-            for h in range(r)
-        )
-        constraints.append(IpConstraint(f"cap_S{k + 1}", terms, "<=", s.storage_capacity))
-    for i, q in enumerate(w.queries):
-        for ref in q.refs:
-            j = t_index[ref.table]
-            coef = q.frequency * ref.cost
+    refs = _references(w)
+    # One product per (reference, server, replica), in that order.
+    zs = tuple(f"z{h + 1}_Q{i + 1}_T{j + 1}_S{k + 1}"
+               for i, j, _ in refs for k in range(l) for h in range(r))
+
+    def rows() -> Iterator[IpConstraint]:
+        for i, row in enumerate(plus_y, start=1):
+            yield _one_of(f"assign_Q{i}", row)
+        for j in range(len(w.tables)):
+            replicas = range(j * r, (j + 1) * r)
+            for h, row in enumerate(replicas):
+                yield _one_of(f"assign_T{j + 1}_r{h + 1}", plus_x[row])
+            for k in range(l):
+                once = tuple(plus_x[row][k] for row in replicas)
+                yield IpConstraint(f"replica_once_T{j + 1}_S{k + 1}", once, "<=", 1)
+        for k, s in enumerate(w.servers):
+            terms = tuple(
+                (t.size, x[j * r + h][k])
+                for j, t in enumerate(w.tables)
+                if t.size > 0
+                for h in range(r)
+            )
+            yield IpConstraint(f"cap_S{k + 1}", terms, "<=", s.storage_capacity)
+        products = iter(zs)
+        for i, j, _ in refs:
             for k in range(l):
                 for h in range(r):
-                    z = f"z{h + 1}_Q{i + 1}_T{j + 1}_S{k + 1}"
-                    reals.append(z)
-                    if coef > 0:
-                        objective.append((coef, z))
+                    z = next(products)
                     plus_z = (1, z)
-                    constraints += (
-                        IpConstraint(f"{z}_y", (plus_z, minus_y[i][k]), "<=", 0),
-                        IpConstraint(f"{z}_x", (plus_z, minus_x[j * r + h][k]), "<=", 0),
-                    )
-    return IpModel(
-        "max", tuple(objective), tuple(constraints), _flat(y) + _flat(x), tuple(reals)
-    )
+                    yield IpConstraint(f"{z}_y", (plus_z, minus_y[i][k]), "<=", 0)
+                    yield IpConstraint(f"{z}_x", (plus_z, minus_x[j * r + h][k]), "<=", 0)
+
+    objective = _weighted((coef for _, _, coef in refs for _ in range(l * r)), zs)
+    return IpModel("max", objective, _Rows(rows), _flat(y) + _flat(x), zs)
 
 
 def build_gdp_ip(d: ViewDag) -> IpModel:
@@ -204,50 +252,46 @@ def build_gdp_ip(d: ViewDag) -> IpModel:
     view; immovable views get hard storage=computation equalities."""
     l = len(d.servers)
     n = len(d.views)
-    binaries = []
-    reals = []
-    constraints = []
-    objective = []
     v_index = {v.id: j for j, v in enumerate(d.views)}
     xs, plus_s, minus_s = _site_rows([f"xs_V{j}" for j in range(1, n + 1)], l)
     xc, plus_c, minus_c = _site_rows([f"xc_V{j}" for j in range(1, n + 1)], l)
-    for j in range(n):
-        binaries += xs[j]
-        binaries += xc[j]
-        constraints.append(_one_of(f"store_V{j + 1}", plus_s[j]))
-        constraints.append(_one_of(f"compute_V{j + 1}", plus_c[j]))
-    for k, s in enumerate(d.servers):
-        terms = tuple((v.size, xs[j][k]) for j, v in enumerate(d.views) if v.size > 0)
-        constraints.append(IpConstraint(f"cap_S{k + 1}", terms, "<=", s.storage_capacity))
-    for a in d.arcs:
-        i, j = v_index[a.consumer], v_index[a.producer]
-        if a.cost == 0:
-            continue
-        cut = f"cut_V{i + 1}_V{j + 1}"
-        reals.append(cut)
-        objective.append((a.cost, cut))
-        ind = (-1, cut)
-        for k in range(l):
-            constraints.extend(_abs_diff(
-                f"{cut}_S{k + 1}", (plus_c[i][k], minus_c[i][k]),
-                (plus_s[j][k], minus_s[j][k]), ind))
-    for j, v in enumerate(d.views):
-        if v.transfer_cost == INFINITE:
+    arcs = [(v_index[a.consumer], v_index[a.producer], a.cost) for a in d.arcs if a.cost != 0]
+    cuts = [f"cut_V{i + 1}_V{j + 1}" for i, j, _ in arcs]
+    # (view, its move indicator, or None for an immovable view) of every
+    # view that gets rows of its own, in view order.
+    sited = [(j, None if v.transfer_cost == INFINITE else f"mov_V{j + 1}")
+             for j, v in enumerate(d.views) if v.transfer_cost > 0]
+    movs = [(int(d.views[j].transfer_cost), mov) for j, mov in sited if mov]
+
+    def rows() -> Iterator[IpConstraint]:
+        for j in range(n):
+            yield _one_of(f"store_V{j + 1}", plus_s[j])
+            yield _one_of(f"compute_V{j + 1}", plus_c[j])
+        for k, s in enumerate(d.servers):
+            terms = tuple((v.size, xs[j][k]) for j, v in enumerate(d.views) if v.size > 0)
+            yield IpConstraint(f"cap_S{k + 1}", terms, "<=", s.storage_capacity)
+        for (i, j, _), cut in zip(arcs, cuts):
+            ind = (-1, cut)
             for k in range(l):
-                pin = (plus_s[j][k], minus_c[j][k])
-                constraints.append(IpConstraint(f"pin_V{j + 1}_S{k + 1}", pin, "=", 0))
-        elif v.transfer_cost > 0:
-            mov = f"mov_V{j + 1}"
-            reals.append(mov)
-            objective.append((int(v.transfer_cost), mov))
+                yield from _abs_diff(
+                    f"{cut}_S{k + 1}", (plus_c[i][k], minus_c[i][k]),
+                    (plus_s[j][k], minus_s[j][k]), ind)
+        for j, mov in sited:
+            if mov is None:
+                for k in range(l):
+                    pin = (plus_s[j][k], minus_c[j][k])
+                    yield IpConstraint(f"pin_V{j + 1}_S{k + 1}", pin, "=", 0)
+                continue
             ind = (-1, mov)
             for k in range(l):
-                constraints.extend(_abs_diff(
+                yield from _abs_diff(
                     f"{mov}_S{k + 1}", (plus_s[j][k], minus_s[j][k]),
-                    (plus_c[j][k], minus_c[j][k]), ind))
-    return IpModel(
-        "min", tuple(objective), tuple(constraints), tuple(binaries), tuple(reals)
-    )
+                    (plus_c[j][k], minus_c[j][k]), ind)
+
+    objective = tuple((cost, cut) for (_, _, cost), cut in zip(arcs, cuts)) + tuple(movs)
+    reals = tuple(cuts) + tuple(mov for _, mov in movs)
+    binaries = _flat(s + c for s, c in zip(xs, xc))
+    return IpModel("min", objective, _Rows(rows), binaries, reals)
 
 
 def _format_terms(terms: tuple[tuple[int, str], ...]) -> str:
@@ -265,18 +309,23 @@ def lp_lines(m: IpModel) -> Iterator[str]:
     """Yield the solver-standard LP text line by line, each line ending
     in a newline (objective, Subject To, Bounds, Binary, End).  An empty
     objective becomes the "0 dummy0" convention with dummy0 fixed to 0
-    in Bounds."""
+    in Bounds, as is a row without terms.  Each row is checked as it
+    is written, so a faulty row raises ValidationError mid-stream."""
     yield "Minimize\n" if m.sense == "min" else "Maximize\n"
     if m.objective:
         yield f" obj: {_format_terms(m.objective)}\n"
     else:
         yield " obj: 0 dummy0\n"
     yield "Subject To\n"
-    for c in m.constraints:
-        body = _format_terms(c.terms) if c.terms else "0 dummy0"
+    dummy = not m.objective
+    for c in m.checked_rows():
+        if c.terms:
+            body = _format_terms(c.terms)
+        else:
+            body, dummy = "0 dummy0", True
         yield f" {c.name}: {body} {c.relation} {c.rhs}\n"
     yield "Bounds\n"
-    if not m.objective or any(not c.terms for c in m.constraints):
+    if dummy:
         yield " dummy0 = 0\n"
     for v in m.bounded_reals:
         yield f" 0 <= {v} <= 1\n"
@@ -351,7 +400,7 @@ def read_lp(text: str) -> IpModel:
         name = name.strip()
         tokens = body.split()
         rel_pos = next(
-            (p for p, tok in enumerate(tokens) if tok in ("<=", "=", ">=")), None
+            (p for p, tok in enumerate(tokens) if tok in _RELATIONS), None
         )
         if rel_pos is None or rel_pos != len(tokens) - 2:
             raise DocumentError(f"malformed constraint {quote(name)}")
@@ -390,7 +439,10 @@ def read_lp(text: str) -> IpModel:
         else:
             raise DocumentError(f"unexpected section {quote(lines[i])}")
     try:
-        return IpModel(sense, objective, tuple(constraints), tuple(binaries), tuple(reals))
+        model = IpModel(sense, objective, tuple(constraints), tuple(binaries), tuple(reals))
+        for _ in model.checked_rows():
+            pass
     except ValidationError as exc:
         raise DocumentError(str(exc)) from None
+    return model
 

@@ -66,12 +66,13 @@ def solve_ip(m: IpModel) -> tuple[int, dict[str, float]] | None:
     c = np.zeros(len(names))
     for coef, var in m.objective:
         c[col[var]] += coef
-    a = lil_array((len(m.constraints), len(names)))
-    for r, con in enumerate(m.constraints):
+    rows = tuple(m.constraints)
+    a = lil_array((len(rows), len(names)))
+    for r, con in enumerate(rows):
         for coef, var in con.terms:
             a[r, col[var]] += coef
-    lo = [-np.inf if con.relation == "<=" else con.rhs for con in m.constraints]
-    hi = [np.inf if con.relation == ">=" else con.rhs for con in m.constraints]
+    lo = [-np.inf if con.relation == "<=" else con.rhs for con in rows]
+    hi = [np.inf if con.relation == ">=" else con.rhs for con in rows]
     sign = -1 if m.sense == "max" else 1
     res = milp(sign * c, integrality=[1] * len(m.binaries) + [0] * len(m.bounded_reals),
                bounds=Bounds(0, 1), constraints=LinearConstraint(a.tocsr(), lo, hi),

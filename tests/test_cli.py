@@ -5,9 +5,10 @@ import re
 
 import pytest
 
-from placer import pipeline
+from placer import cli, pipeline
 from placer.cli import main
 from placer.gdp import parse_gdp, serialize_gdp
+from placer.ip import IpConstraint, IpModel
 from placer.partition import export_graph, partition
 from placer.pipeline import graph_of
 
@@ -216,7 +217,7 @@ def test_export_graph(capsys, tmp_path, fig2_file):
     code, out, _ = run(capsys, "export-graph", fig2_file, "--out", out_path)
     assert code == 0
     assert out_path.read_text().splitlines()[0] == "10 9 011 1"
-    assert "target fractions" in out
+    assert "target fractions" in out and "warning" not in out
 
 
 def test_export_graph_contracts_view_dag(capsys, tmp_path, gdp_file):
@@ -281,6 +282,37 @@ def test_import_partition_gdp(capsys, tmp_path, gdp_file):
     assert "total cost: 27" in out  # arcs V4<-V2, V5<-V3, V7<-V4, V7<-V5
     doc = json.loads(out_path.read_text())
     assert doc["compute"]["V7"] == "S2" and doc["store"]["V5"] == ["S1"]
+
+
+# A base table (size 20) larger than either server (18): the contracted
+# graph warns about it wherever it is built.
+OVERSIZED_BASE_DOC = json.dumps({
+    "views": [{"id": "V1", "class": "base_table", "size": 20},
+              {"id": "V2", "class": "query"}],
+    "arcs": [{"consumer": "V2", "producer": "V1", "cost": 3}],
+    "servers": [{"id": "S1", "storage_capacity": 18},
+                {"id": "S2", "storage_capacity": 18}],
+})
+OVERSIZED_WARNING = "warning: merged node 'c:V1' (weights (20,)) exceeds every part capacity"
+
+
+def test_plan_export_graph_and_import_partition_print_graph_warnings(capsys, tmp_path):
+    path = tmp_path / "oversized.json"
+    path.write_text(OVERSIZED_BASE_DOC)
+    code, out, _ = run(capsys, "plan", path, "--out", tmp_path / "p.json")
+    assert code == 2 and OVERSIZED_WARNING in out.splitlines()
+    graph_path = tmp_path / "oversized.graph"
+    code, out, _ = run(capsys, "export-graph", path, "--out", graph_path)
+    assert code == 0 and OVERSIZED_WARNING in out.splitlines()
+    n = int(graph_path.read_text().split()[0])
+    part_path = tmp_path / "oversized.part"
+    part_path.write_text("0\n" * n)
+    code, out, _ = run(capsys, "import-partition", path, part_path,
+                       "--out", tmp_path / "p.json")
+    assert code == 2 and OVERSIZED_WARNING in out.splitlines()
+    code, out, _ = run(capsys, "import-partition", path, part_path,
+                       "--format", "json", "--out", tmp_path / "p.json")
+    assert OVERSIZED_WARNING in json.loads(out)["notes"]
 
 
 def _import_all(capsys, tmp_path, instance_path, rows):
@@ -348,11 +380,14 @@ def test_export_graph_writes_the_graph_plan_partitions(capsys, tmp_path, monkeyp
 
 def test_export_ip_dp(capsys, tmp_path, fig2_file):
     out_path = tmp_path / "fig2.lp"
+    out_path.write_text("an earlier model\n")
     code, out, _ = run(capsys, "export-ip", fig2_file, "--out", out_path)
     assert code == 0
     text = out_path.read_text()
     assert text.startswith("Minimize")
     assert "Binary" in text
+    # The finished file replaced the earlier one; no temporary file stays.
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fig2.json", "fig2.lp"]
 
 
 def test_export_ip_replication(capsys, tmp_path, fig2_file):
@@ -369,6 +404,40 @@ def test_export_ip_rejects_replication_zero(capsys, tmp_path, fig2_file):
     assert code == 1 and out == ""
     assert err == "error: replication factor must be >= 1\n"
     assert not (tmp_path / "x.lp").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fig2.json"]
+
+
+def test_export_ip_rejects_replication_above_server_count(capsys, tmp_path, fig2_file):
+    code, out, err = run(capsys, "export-ip", fig2_file, "--model", "replication",
+                         "--replication", "4", "--out", tmp_path / "x.lp")
+    assert code == 1 and out == ""
+    assert err == "error: replication factor 4 exceeds 3 servers\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fig2.json"]
+
+
+def _failing_mid_stream(w):
+    # Enough valid rows to fill the write buffer several times, then a
+    # duplicate row name: a fault lp_lines meets only while writing.
+    rows = tuple(IpConstraint(f"c{i}", ((1, "x"),), "<=", 1) for i in range(5000))
+    return IpModel("min", (), rows + rows[:1], ("x",), ())
+
+
+@pytest.mark.parametrize("existing", [None, "an earlier model\n"])
+def test_export_ip_leaves_no_partial_file(capsys, tmp_path, fig2_file, monkeypatch,
+                                          existing):
+    monkeypatch.setattr(cli, "build_dp_ip", _failing_mid_stream)
+    out_path = tmp_path / "fig2.lp"
+    if existing is not None:
+        out_path.write_text(existing)
+    code, out, err = run(capsys, "export-ip", fig2_file, "--out", out_path)
+    assert code == 1 and out == ""
+    assert err == "error: duplicate constraint name 'c0'\n"
+    if existing is None:
+        assert not out_path.exists()
+    else:
+        assert out_path.read_text() == existing
+    expected = ["fig2.json"] + ([] if existing is None else ["fig2.lp"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == expected
 
 
 def test_export_ip_gdp(capsys, tmp_path, gdp_file):

@@ -50,7 +50,7 @@ def _fix_largest(w) -> IpModel:
     largest = max(range(len(w.tables)), key=lambda j: w.tables[j].size) + 1
     model = build_dp_ip(w)
     fixed = IpConstraint("fix_largest", ((1, f"x_T{largest}_S1"),), "=", 1)
-    return replace(model, constraints=model.constraints + (fixed,))
+    return replace(model, constraints=(*model.constraints, fixed))
 
 
 def test_plan_within_five_percent_of_proven_optimum():

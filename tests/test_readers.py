@@ -229,7 +229,7 @@ def run_cli(*argv) -> tuple[int, str]:
 
 
 @pytest.mark.parametrize("doc, message", [
-    (GDP_CYCLE, "error: cycle detected: a -> b -> a"),
+    (GDP_CYCLE, "error: cycle detected: 'a' -> 'b' -> ... (2 views)"),
     (GDP_DUPLICATE_VIEW, "error: duplicate view id: 'a'"),
     (GDP_DUPLICATE_SERVER, "error: duplicate server id: 'S1'"),
 ])
@@ -422,6 +422,13 @@ def _fig2_with(edit):
         "store": {t: [LONG] for t in ("T1", "T2", "T3", "T4", "T5", "T6")},
         "compute": {}}),
                  id="5000-character-unknown-server-in-placement"),
+    pytest.param("instance", json.dumps({
+        "views": [{"id": LONG, "class": "intermediate"},
+                  {"id": LONG.replace("x", "y"), "class": "intermediate"}],
+        "arcs": [{"consumer": LONG, "producer": LONG.replace("x", "y"), "cost": 1},
+                 {"consumer": LONG.replace("x", "y"), "producer": LONG, "cost": 1}],
+        "servers": [{"id": "S1", "storage_capacity": 1}]}),
+                 id="cycle-of-two-5000-character-view-ids"),
 ])
 def test_long_values_give_a_short_error_line(fig2_path, faulty, document):
     # Error messages quote at most QUOTE_LIMIT characters of a value.
