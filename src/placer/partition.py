@@ -15,12 +15,15 @@ once more under the true ones (the final balancing step of multilevel
 partitioners), and picks the cheapest result that respects the true
 capacities.  When no candidate respects them it falls back to the
 violating candidate with the lowest cut (the smallest total excess only
-breaks cut ties), with violations itemized.  Iterated V-cycles then
-improve that winner (Walshaw 2004; KaFFPa, Sanders and Schulz 2011): the
-graph is coarsened again with matching restricted to nodes of one part,
-so the partition carries exactly onto every level, and refined back down
-under the true capacities.  A graph that does not coarsen runs no cycle:
-refining a fixed point again changes nothing.
+breaks cut ties), with violations itemized.  The candidates are
+independent, so the seeds run in up to one process per usable CPU,
+forked where the platform can fork (KaFFPaE, Sanders and Schulz 2012),
+and the winner does not depend on how many processes ran.  Iterated
+V-cycles then improve that winner (Walshaw 2004; KaFFPa, Sanders and
+Schulz 2011): the graph is coarsened again with matching restricted to
+nodes of one part, so the partition carries exactly onto every level,
+and refined back down under the true capacities.  A graph that does not
+coarsen runs no cycle: refining a fixed point again changes nothing.
 
 Ties are always broken by lowest node id, then lowest part index, so a
 given (graph, config) pair yields one reproducible result.
@@ -28,7 +31,10 @@ given (graph, config) pair yields one reproducible result.
 from __future__ import annotations
 
 import heapq
+import marshal
+import os
 import random
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -445,21 +451,77 @@ def _cut_of(mesh: _Mesh, part) -> int:
     return total
 
 
+def _sweep_workers(n_seeds: int) -> int:
+    """Processes for the seed sweep: one per usable CPU and at most one
+    per seed, or 1 where this process cannot fork safely."""
+    if not hasattr(os, "fork") or threading.active_count() != 1:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, n_seeds))
+
+
+def _fork(task, *args) -> tuple[int, int] | None:
+    """(pid, fd) of a child that writes marshal.dumps(task(*args)) to fd,
+    or None when no child could be made.  The child ends in os._exit, 1
+    on any exception, so it never returns into the caller or flushes the
+    stdio it inherited."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            view = memoryview(marshal.dumps(task(*args)))
+            while view:
+                view = view[os.write(w, view):]
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, r
+
+
+def _reap(pid: int, fd: int) -> bytes | None:
+    """Read fd to EOF, close it and wait for the child: its bytes, or
+    None when it exited nonzero."""
+    chunks = []
+    try:
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+        status = os.waitpid(pid, 0)[1]
+    return b"".join(chunks) if status == 0 else None
+
+
 def partition(g: PartGraph, cfg: PartitionConfig | None = None) -> PartitionResult:
     """Best assignment across the seed x slack sweep and the V-cycles
     after it, deterministically.
 
-    One sequential loop: each seed coarsens the graph once, then every
-    slack factor partitions that hierarchy under capacities scaled by
-    1 + slack.  A candidate whose scaled capacities differ from the true
-    ones is refined once more on the finest graph against the true
-    capacities, which restores balance at little cost to the cut; a
-    slack-0 candidate skips that step.  Candidates that respect the
-    true capacities win over violating ones; within a feasibility class
-    the lowest cut wins, then the smallest and fewest violations, then
-    the earliest (slack, seed) pair.  So when every candidate violates a
+    Each seed coarsens the graph once, then every slack factor
+    partitions that hierarchy under capacities scaled by 1 + slack.  A
+    candidate whose scaled capacities differ from the true ones is
+    refined once more on the finest graph against the true capacities,
+    which restores balance at little cost to the cut; a slack-0
+    candidate skips that step.  Candidates that respect the true
+    capacities win over violating ones; within a feasibility class the
+    lowest cut wins, then the smallest and fewest violations, then the
+    earliest (slack, seed) pair.  So when every candidate violates a
     capacity the result is the one with the lowest cut, which need not
     be the least violating one.
+
+    The seed list is cut into _sweep_workers() contiguous chunks; this
+    process runs the first and a forked child each other one, sending
+    back its best part.  The winner is the least (key, slack index, seed
+    index) over all chunks, which is unique, so it does not depend on
+    the number of processes.  A chunk whose child fails runs here, so an
+    error is raised as in one process, and every child is reaped before
+    partition() returns or raises.
 
     The winner then goes through up to V_CYCLES V-cycles at the true
     capacities, and each cycle's result replaces it when its key
@@ -467,8 +529,8 @@ def partition(g: PartGraph, cfg: PartitionConfig | None = None) -> PartitionResu
     stop at the first that yields no coarser level: the winner is
     refined to a fixed point, so such a cycle would change nothing.
     Whether matching makes progress depends on the incumbent, not on
-    the seed, so this happens at cycle 0 or never.  The result's slack and seed name
-    the sweep candidate the V-cycles started from.
+    the seed, so this happens at cycle 0 or never.  The result's slack
+    and seed name the sweep candidate the V-cycles started from.
     """
     cfg = cfg or PartitionConfig()
     if not g.part_capacities:
@@ -479,6 +541,7 @@ def partition(g: PartGraph, cfg: PartitionConfig | None = None) -> PartitionResu
     ids, mesh = _mesh_of(g)
     caps_raw = g.part_capacities
     true_caps = [tuple(vec) for vec in caps_raw]
+    l = len(true_caps)
 
     def rank(part, loads):
         violations = _violations_of(loads, caps_raw)
@@ -486,23 +549,67 @@ def partition(g: PartGraph, cfg: PartitionConfig | None = None) -> PartitionResu
         key = (1 if violations else 0, _cut_of(mesh, part), excess, len(violations))
         return key, part, loads, violations
 
-    def sweep():
-        for si, seed in enumerate(cfg.seeds):
-            levels, _ = _coarsen(mesh, seed, [0] * mesh.n)
-            for fi, slack in enumerate(cfg.slack_factors):
-                caps = _scaled_caps(caps_raw, slack)
-                part, loads = _run_candidate(levels, caps, seed * 8191 + fi)
-                if caps != true_caps:
-                    _refine(mesh, part, loads, true_caps)
-                yield rank(part, loads), fi, si
+    def order(candidate):
+        return candidate[0][0], candidate[1], candidate[2]
 
-    ranked, fi, si = min(sweep(), key=lambda c: (c[0][0], c[1], c[2]))
+    def sweep(lo: int, hi: int):
+        """The best (ranked, fi, si) of seeds lo..hi-1."""
+        def candidates():
+            for si in range(lo, hi):
+                seed = cfg.seeds[si]
+                levels, _ = _coarsen(mesh, seed, [0] * mesh.n)
+                for fi, slack in enumerate(cfg.slack_factors):
+                    caps = _scaled_caps(caps_raw, slack)
+                    part, loads = _run_candidate(levels, caps, seed * 8191 + fi)
+                    if caps != true_caps:
+                        _refine(mesh, part, loads, true_caps)
+                    yield rank(part, loads), fi, si
+
+        return min(candidates(), key=order)
+
+    def sent(lo: int, hi: int):
+        ranked, fi, si = sweep(lo, hi)
+        return ranked[1], fi, si
+
+    def received(data: bytes | None, lo: int, hi: int):
+        try:
+            part, fi, si = marshal.loads(data)
+            if (len(part) == mesh.n and set(part) <= set(range(l))
+                    and 0 <= fi < len(cfg.slack_factors) and lo <= si < hi):
+                return rank(part, _loads_of(mesh, part, l)), fi, si
+        except (EOFError, TypeError, ValueError):
+            pass
+        return None
+
+    workers = _sweep_workers(len(cfg.seeds))
+    bounds = [len(cfg.seeds) * i // workers for i in range(workers + 1)]
+    chunks = list(zip(bounds, bounds[1:]))
+    children = []  # (child, lo, hi) in chunk order; child is None when fork failed
+    try:
+        for lo, hi in chunks[1:]:
+            children.append((_fork(sent, lo, hi), lo, hi))
+        best = [sweep(*chunks[0])]
+        while children:
+            child, lo, hi = children.pop(0)
+            got = received(_reap(*child), lo, hi) if child else None
+            best.append(got or sweep(lo, hi))
+    finally:
+        if children:  # the sweep raised: stop the children still running
+            import signal  # only here, so that importing placer does not load it
+
+            for child, _, _ in children:
+                if child:
+                    os.kill(child[0], signal.SIGKILL)
+                    os.close(child[1])
+                    os.waitpid(child[0], 0)
+    ranked, fi, si = min(best, key=order)
+
     run = improved = 0
     for cycle in range(V_CYCLES):
         levels, coarse_part = _coarsen(mesh, cycle, ranked[1])
         if len(levels) == 1:
             break
-        loads = _loads_of(mesh, ranked[1], len(true_caps))
+        loads = _loads_of(mesh, ranked[1], l)
         candidate = rank(_descend(levels, coarse_part, loads, true_caps), loads)
         run += 1
         if candidate[0] < ranked[0]:

@@ -1,3 +1,4 @@
+import os
 import random
 import re
 from fractions import Fraction
@@ -24,7 +25,7 @@ from placer.reduction import (
 )
 
 from conftest import GDP_EXAMPLE_PARTS
-from helpers import brute_force_partition_cut, random_workload
+from helpers import brute_force_partition_cut, random_view_dag, random_workload
 
 
 def node(nid, *weights):
@@ -475,7 +476,8 @@ def test_refinement_reaches_a_fixed_point(monkeypatch):
     # result again keeps nothing.  Checked at every refinement of one
     # quality-set plan (random 100x100 on 16 servers, generator seed
     # 4004), whose 113-node level with 16 parts takes more than ten
-    # passes.
+    # passes.  The sweep runs in this one process, since the passes of a
+    # forked child are counted in the child's memory.
     import placer.partition as P
     from placer.generate import GenSpec, generate
 
@@ -497,6 +499,7 @@ def test_refinement_reaches_a_fixed_point(monkeypatch):
 
     monkeypatch.setattr(P, "_refine", checked_refine)
     monkeypatch.setattr(P, "_sequence_pass", counted_pass)
+    monkeypatch.setattr(P, "_sweep_workers", lambda n_seeds: 1)
     w = generate(GenSpec(shape="random", n_tables=100, n_queries=100, n_servers=16,
                          seed=4004))
     partition(build_dp_graph(w))
@@ -693,6 +696,140 @@ def test_balance_ratio():
 def test_capacity_fractions():
     g = PartGraph((node("a", 1),), (), ((3,), (1,)))
     assert capacity_fractions(g) == [(Fraction(3, 4),), (Fraction(1, 4),)]
+
+
+@pytest.fixture(scope="module")
+def sweep_graphs():
+    # A random 100x100 plan on 16 servers, TPC-DS on 8 servers, the same
+    # with a 3/4 load ratio (ncon = 2), a contracted view DAG (218 nodes
+    # before contraction, 167 after) and a 60x60 plan whose servers of
+    # 105 are below an even share, so that every candidate violates.
+    from placer.generate import GenSpec, generate
+    from placer.pipeline import _apply_ratio, graph_of
+
+    tpcds = generate(GenSpec(shape="tpcds", seed=1, n_servers=8))
+    return {
+        "random": build_dp_graph(generate(GenSpec(
+            shape="random", n_tables=100, n_queries=100, n_servers=16, seed=4004))),
+        "tpcds": build_dp_graph(tpcds),
+        "load": build_dp_graph(_apply_ratio(tpcds, Fraction(3, 4)), with_load=True),
+        "view-dag": graph_of(random_view_dag(random.Random(0), max_views=120,
+                                             max_servers=4))[0],
+        "fallback": build_dp_graph(generate(GenSpec(
+            shape="random", n_tables=60, n_queries=60, n_servers=8, seed=9,
+            server_capacity=105))),
+    }
+
+
+def _counting_forks(monkeypatch, P) -> list:
+    forks = []
+    fork = P._fork
+
+    def counted(*args):
+        forks.append(args[1:])
+        return fork(*args)
+
+    monkeypatch.setattr(P, "_fork", counted)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("seeds", [(0,), (0, 1), (0, 1, 2), (5, 3, 1, 4)])
+def test_sweep_result_does_not_depend_on_processes(monkeypatch, sweep_graphs, seeds):
+    # Determinism that does not depend on parallelism: the sweep in one
+    # process, in as many as this host gives it and, where processes can
+    # be forked, in min(seeds, 3) (uneven chunks of the seed list) gives
+    # one PartitionResult.
+    import placer.partition as P
+
+    cfg = PartitionConfig(seeds=seeds)
+    forks = _counting_forks(monkeypatch, P)
+    for name, g in sweep_graphs.items():
+        with monkeypatch.context() as m:
+            m.setattr(P, "_sweep_workers", lambda n_seeds: 1)
+            alone = partition(g, cfg)
+        assert bool(alone.violations) == (name == "fallback")
+        assert partition(g, cfg) == alone, name
+        if hasattr(os, "fork"):
+            with monkeypatch.context() as m:
+                m.setattr(P, "_sweep_workers", lambda n_seeds: min(n_seeds, 3))
+                del forks[:]
+                assert partition(g, cfg) == alone, name
+                assert len(forks) == min(len(seeds), 3) - 1
+        _assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the sweep forks only where os.fork exists")
+@pytest.mark.parametrize("bad_seed", [0, 1], ids=["here", "child"])
+def test_failing_seed_raises_and_leaves_no_child(monkeypatch, bad_seed):
+    # Seeds (0, 1, 2) in three processes: seed 0 runs here, 1 and 2 each
+    # in a child.  A seed that fails raises its error from partition()
+    # whichever process ran it, as a one-process run raises it, and every
+    # child is reaped first.
+    import placer.partition as P
+    from placer.generate import GenSpec, generate
+
+    g = build_dp_graph(generate(GenSpec(shape="random", n_tables=40, n_queries=40,
+                                        n_servers=8, seed=3)))
+    run_candidate = P._run_candidate
+
+    def failing(levels, caps, rng_seed):
+        if rng_seed // 8191 == bad_seed:
+            raise ValidationError(f"seed {bad_seed} fails")
+        return run_candidate(levels, caps, rng_seed)
+
+    monkeypatch.setattr(P, "_run_candidate", failing)
+    monkeypatch.setattr(P, "_sweep_workers", lambda n_seeds: n_seeds)
+    forks = _counting_forks(monkeypatch, P)
+    with pytest.raises(ValidationError, match=f"^seed {bad_seed} fails$"):
+        partition(g, PartitionConfig(seeds=(0, 1, 2)))
+    assert forks == [(1, 2), (2, 3)]
+    _assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the sweep forks only where os.fork exists")
+@pytest.mark.parametrize("fault", ["exit", "bad-bytes", "wrong-part", "no-fork"])
+def test_failed_child_chunk_is_run_here(monkeypatch, fault):
+    # A chunk whose child exits nonzero, sends bytes that do not decode
+    # or a part of the wrong length, or cannot be forked at all is run
+    # again in this process, so the result is the one-process result.
+    import marshal
+    import types
+
+    import placer.partition as P
+    from placer.generate import GenSpec, generate
+
+    g = build_dp_graph(generate(GenSpec(shape="random", n_tables=40, n_queries=40,
+                                        n_servers=8, seed=3)))
+    cfg = PartitionConfig(seeds=(0, 1, 2))
+    with monkeypatch.context() as m:
+        m.setattr(P, "_sweep_workers", lambda n_seeds: 1)
+        alone = partition(g, cfg)
+    if fault == "exit":
+        here, run_candidate = os.getpid(), P._run_candidate
+
+        def failing_in_children(levels, caps, rng_seed):
+            if os.getpid() != here:
+                raise MemoryError
+            return run_candidate(levels, caps, rng_seed)
+
+        monkeypatch.setattr(P, "_run_candidate", failing_in_children)
+    elif fault == "no-fork":
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+    else:
+        sent = b"\xffjunk" if fault == "bad-bytes" else marshal.dumps(([0] * 3, 0, 1))
+        monkeypatch.setattr(P, "marshal", types.SimpleNamespace(
+            dumps=lambda value: sent, loads=marshal.loads))
+    monkeypatch.setattr(P, "_sweep_workers", lambda n_seeds: n_seeds)
+    assert partition(g, cfg) == alone
+    _assert_no_child_left()
 
 
 def test_partition_submodule_is_importable_as_module():
