@@ -296,18 +296,18 @@ def _sequence_pass(mesh: _Mesh, part, loads, caps, conn) -> bool:
     A move lowers the excess when its node sits in a part that is
     overfull in a dimension where the node has weight.  Candidate moves
     live in a lazily invalidated heap keyed by (not lowering, -gain,
-    node, part, stamp), so lowering moves pop first and equal gains pop
-    the lowest node id first and then the lowest part index.  A lowering
+    node, part), so lowering moves pop first and equal gains pop the
+    lowest node id first and then the lowest part index.  A lowering
     move may target any part; any other move targets only parts that
     hold a neighbour, which with positive edge weights are the parts of
-    nonzero connectivity.  Each (node, part) move has a stamp, and an
-    entry is current while its stamp is.  When u moves from part a to
-    part b, an unlocked neighbour in a or b has every gain changed and
-    re-pushes all its moves; any other unlocked neighbour re-pushes only
-    its moves into a and b.  A re-push bumps the stamp.  A node only
-    moves when it is popped, after which it is locked.  So a current
-    entry belongs to an unlocked node that has not moved, and its gain
-    is exact.
+    nonzero connectivity.  When u moves from part a to part b, an
+    unlocked neighbour in a or b has every gain changed and re-pushes
+    all its moves; any other unlocked neighbour re-pushes only its moves
+    into a and b.  A node only moves when it is popped, after which it
+    is locked.  An entry for a move of u into q is current while its key
+    is: u is unlocked, the stored -gain still equals conn[u][part[u]] -
+    conn[u][q], and, for an ordinary entry, conn[u][q] > 0.  Other
+    entries are dropped when they pop or when their move is unparked.
 
     A move enters only a part it fits, so no part becomes overfull and
     an overfull part only sheds load: a move can stop lowering the
@@ -317,13 +317,20 @@ def _sequence_pass(mesh: _Mesh, part, loads, caps, conn) -> bool:
     lowering entry pops before any ordinary one, so a stale one turns
     ordinary before the next move is chosen.
 
-    A popped move into q that does not fit is parked on q with its
-    stamp.  A move into q can only start to fit when q loses load, so
-    after each move out of a the current parked moves into a that now
-    fit go back on the heap.  Every fitting move is therefore on the
-    heap, and each step makes the fitting move of highest (lowering,
-    gain, -node, -part).  The pass stops once 16 + n // 32 tentative
-    moves in a row fail to find a new best prefix.
+    Every change to a gain re-pushes the move, so an outdated entry that
+    passes this check is an exact twin of the current entry, which pops
+    next to it and makes the same move (the lock skips the other copy),
+    or a lowering entry whose node has stopped lowering, which is pushed
+    again as above.  An entry outdated by a re-push that pushed nothing
+    has conn[u][q] == 0 and is dropped either way.
+
+    A popped move into q that does not fit is parked on q.  A move into
+    q can only start to fit when q loses load, so after each move out of
+    a the current parked moves into a that now fit go back on the heap.
+    Every fitting move is therefore on the heap, and each step makes the
+    fitting move of highest (lowering, gain, -node, -part).  The pass
+    stops once 16 + n // 32 tentative moves in a row fail to find a new
+    best prefix.
     """
     adj, weights = mesh.adj, mesh.weights
     n = mesh.n
@@ -335,10 +342,9 @@ def _sequence_pass(mesh: _Mesh, part, loads, caps, conn) -> bool:
         hot[k].append(d)
         excess += x
     locked = [False] * n
-    stamp = [[0] * len(caps) for _ in range(n)]
     parked: list[list[tuple]] = [[] for _ in parts]  # by target part
     heap = [
-        (not lowers, cu[p] - c, u, q, 0)
+        (not lowers, cu[p] - c, u, q)
         for u, (cu, p) in enumerate(zip(conn, part))
         for lowers in (hot[p] and any(weights[u][d] for d in hot[p]),)
         for q, c in enumerate(cu) if (c or lowers) and q != p
@@ -347,13 +353,17 @@ def _sequence_pass(mesh: _Mesh, part, loads, caps, conn) -> bool:
     heappush, heappop = heapq.heappush, heapq.heappop
 
     def push(v: int, targets) -> None:
-        cv, p, sv = conn[v], part[v], stamp[v]
+        cv, p = conn[v], part[v]
         base = cv[p]
         lowers = hot[p] and any(weights[v][d] for d in hot[p])
         for q in targets:
-            s = sv[q] = sv[q] + 1
             if (cv[q] or lowers) and q != p:
-                heappush(heap, (not lowers, base - cv[q], v, q, s))
+                heappush(heap, (not lowers, base - cv[q], v, q))
+
+    def stale(entry) -> bool:
+        ordinary, neg_gain, v, q = entry
+        cv = conn[v]
+        return locked[v] or cv[part[v]] - cv[q] != neg_gain or (ordinary and not cv[q])
 
     trail: list[tuple[int, int]] = []  # (node, from)
     cum_gain = 0
@@ -362,13 +372,13 @@ def _sequence_pass(mesh: _Mesh, part, loads, caps, conn) -> bool:
     stall = 0
     while heap and stall < stall_limit:
         entry = heappop(heap)
-        ordinary, neg_gain, u, q, s = entry
-        if locked[u] or s != stamp[u][q]:
+        if stale(entry):
             continue
+        ordinary, neg_gain, u, q = entry
         wu = weights[u]
         if not ordinary and not any(wu[d] for d in hot[part[u]]):
             if conn[u][q]:
-                heappush(heap, (True, neg_gain, u, q, s))
+                heappush(heap, (True, neg_gain, u, q))
             continue
         if not _fits(loads[q], wu, caps[q]):
             parked[q].append(entry)
@@ -398,10 +408,9 @@ def _sequence_pass(mesh: _Mesh, part, loads, caps, conn) -> bool:
         if parked[frm]:
             load, cap, waiting = loads[frm], caps[frm], []
             for e in parked[frm]:
-                v = e[2]
-                if locked[v] or e[4] != stamp[v][frm]:
+                if stale(e):
                     continue
-                if _fits(load, weights[v], cap):
+                if _fits(load, weights[e[2]], cap):
                     heappush(heap, e)
                 else:
                     waiting.append(e)

@@ -48,8 +48,8 @@ class PlanOutcome:
 
 def load_ratio_cap(total_load: int, servers: int, ratio: Fraction) -> int | None:
     """Per-server load cap enforcing min/max >= ratio; None when the
-    target is 0 (no constraint)."""
-    if ratio == 0:
+    target is 0 or there is no server (no constraint)."""
+    if ratio == 0 or servers == 0:
         return None
     cap = (total_load * ratio.denominator) // (
         ratio.numerator + (servers - 1) * ratio.denominator

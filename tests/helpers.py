@@ -281,7 +281,7 @@ def reference_conn(mesh, part, u: int) -> dict[int, int]:
 
 
 def reference_sequence_pass(mesh, part, loads, caps) -> bool:
-    """One move-sequence pass by brute force, with no heap, stamps or
+    """One move-sequence pass by brute force, with no heap or
     incremental excess: each step scans every unlocked node, with its
     connectivity and its part's overfull dimensions rebuilt from
     scratch, and makes the fitting move of highest (lowers, gain, -node,

@@ -642,10 +642,13 @@ def test_cost_rejects_malformed_placement(capsys, tmp_path, fig2_file, gdp_file,
     (["plan"], "the following arguments are required: input"),
     (["plan", "FIG2", "--seeds", "1,1"], "seeds must be distinct"),
     (["plan", "FIG2", "--slacks", "0,0"], "slack_factors must be distinct"),
+    (["plan", "EMPTY", "--min-max-ratio", "0.5"], "at least one part capacity is required"),
 ])
 def test_plan_rejects_bad_arguments(capsys, tmp_path, fig2_file, argv, message):
     # Exit code 2 means capacity violations, so usage errors exit 1 too.
-    argv = [fig2_file if a == "FIG2" else a for a in argv]
+    empty = tmp_path / "empty.json"  # a workload with no servers
+    empty.write_text("{}")
+    argv = [{"FIG2": fig2_file, "EMPTY": empty}.get(a, a) for a in argv]
     code, out, err = run(capsys, *argv, "--out", tmp_path / "p.json")
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1

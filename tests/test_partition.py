@@ -430,9 +430,11 @@ def _refinement_instance(rng):
     return _Mesh(ncon, weights, edges), part, caps
 
 
-def test_refinement_equals_dict_reference():
+def test_refinement_equals_dict_reference(monkeypatch):
     # The incremental connectivity must reproduce, step by step, the
-    # refinement that rebuilds every node's connectivity on each use.
+    # refinement that rebuilds every node's connectivity on each use:
+    # every tentative move and rollback is recorded on both sides.
+    import placer.partition as P
     from placer.partition import (
         _connectivity,
         _loads_of,
@@ -441,10 +443,27 @@ def test_refinement_equals_dict_reference():
         _violations_of,
     )
 
+    import helpers
     from helpers import reference_refine, reference_sequence_pass
 
+    steps, ref_steps = [], []  # (node, to) of each move
+
+    def recorded(move, log):
+        def record(mesh, part, *args):
+            log.append(args[-2:])
+            return move(mesh, part, *args)
+        return record
+
+    monkeypatch.setattr(P, "_move", recorded(P._move, steps))
+    monkeypatch.setattr(helpers, "reference_move", recorded(helpers.reference_move, ref_steps))
+
+    def same_steps():
+        assert steps == ref_steps
+        seen["steps"] += len(steps)
+        del steps[:], ref_steps[:]
+
     rng = random.Random(2024)
-    seen = dict(isolated=0, infinite=0, overloaded=0, moved=0)
+    seen = dict(isolated=0, infinite=0, overloaded=0, moved=0, steps=0)
     for _ in range(300):
         mesh, start, caps = _refinement_instance(rng)
         l = len(caps)
@@ -457,6 +476,7 @@ def test_refinement_equals_dict_reference():
         assert _refine(mesh, part, loads, caps) == reference_refine(
             mesh, ref_part, ref_loads, caps)
         assert part == ref_part and loads == ref_loads
+        same_steps()
         seen["moved"] += part != start
 
         part, ref_part = list(start), list(start)
@@ -467,6 +487,7 @@ def test_refinement_equals_dict_reference():
             kept = _sequence_pass(mesh, part, loads, caps, conn)
             assert kept == reference_sequence_pass(mesh, ref_part, ref_loads, caps)
             assert part == ref_part and loads == ref_loads
+            same_steps()
             assert conn == _connectivity(mesh, part, l)
     assert all(c >= 30 for c in seen.values()), seen
 

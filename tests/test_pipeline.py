@@ -134,6 +134,7 @@ def test_load_ratio_cap_bounds():
     # ratio 1 over l servers caps at the even split; ratio 0 means no cap
     assert load_ratio_cap(100, 4, Fraction(1)) == 25
     assert load_ratio_cap(100, 4, Fraction(0)) is None
+    assert load_ratio_cap(100, 0, Fraction(1)) is None  # no server to cap
     assert load_ratio_cap(100, 4, Fraction(1, 2)) == 28  # floor(100/3.5)
     # caps at or below the even split guarantee the ratio outright:
     # min >= L - (l-1)*cap and max <= cap
