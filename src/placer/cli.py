@@ -8,7 +8,9 @@ deterministic byte-for-byte except for the trailing timing section.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import os
 import sys
@@ -174,10 +176,12 @@ def render_report(
         }
         return json.dumps(doc, indent=2) + "\n"
     if fmt == "csv":
-        lines = ["query,site,cost"]
-        for qid, (site, cost) in sorted(report.per_query.items()):
-            lines.append(f"{qid},{server_ids[site]},{cost}")
-        return "\n".join(lines) + "\n"
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(("query", "site", "cost"))
+        writer.writerows((qid, server_ids[site], cost)
+                         for qid, (site, cost) in sorted(report.per_query.items()))
+        return out.getvalue()
     lines = [f"== {title} ==", f"input sha256: {digest}"]
     lines.extend(config_lines)
     lines.append(f"total cost: {report.total_cost}")

@@ -41,7 +41,7 @@ __all__ = [
     "read_lp",
 ]
 
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]{0,254}$")
+_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]{0,254}\Z")
 _RELATIONS = ("<=", "=", ">=")
 
 
@@ -78,8 +78,8 @@ class _Rows:
 class IpModel:
     """An integer program.  `constraints` is any re-iterable of rows: a
     builder's lazy stream or read_lp's tuple.  Construction checks all
-    but the rows; `checked_rows` checks each row as it yields it, and
-    lp_lines and read_lp see the rows only through it."""
+    but the rows; lp_lines checks each row as it writes it, and read_lp
+    checks its rows by running lp_lines."""
 
     sense: str  # "min" | "max"
     objective: tuple[tuple[int, str], ...]  # (coef, var)
@@ -102,26 +102,6 @@ class IpModel:
 
     def _declared(self) -> set[str]:
         return set(self.binaries) | set(self.bounded_reals)
-
-    def checked_rows(self) -> Iterator[IpConstraint]:
-        """The rows, each checked before it is yielded: a valid unique
-        name, a known relation and declared variables only."""
-        declared = self._declared()
-        names = set()
-        for c in self.constraints:
-            if not _NAME_RE.match(c.name):
-                raise ValidationError(f"invalid constraint name {quote(c.name)}")
-            if c.name in names:
-                raise ValidationError(f"duplicate constraint name {quote(c.name)}")
-            names.add(c.name)
-            if c.relation not in _RELATIONS:
-                raise ValidationError(f"bad relation {quote(c.relation)} in {quote(c.name)}")
-            for _, var in c.terms:
-                if var not in declared:
-                    raise ValidationError(
-                        f"undeclared variable {quote(var)} in constraint {quote(c.name)}"
-                    )
-            yield c
 
 
 def _site_rows(stems: list[str], l: int):
@@ -295,35 +275,45 @@ def build_gdp_ip(d: ViewDag) -> IpModel:
 
 
 def _format_terms(terms: tuple[tuple[int, str], ...]) -> str:
-    parts = []
-    for idx, (coef, var) in enumerate(terms):
-        if idx == 0:
-            prefix = "-" if coef < 0 else ""
-        else:
-            prefix = "- " if coef < 0 else "+ "
-        parts.append(f"{prefix}{abs(coef)} {var}")
-    return " ".join(parts)
+    """Terms as LP text: the first sign is glued to its coefficient
+    (-3 x), the later ones stand apart (- 3 x, + 2 y)."""
+    return " + ".join([f"{coef} {var}" for coef, var in terms]).replace("+ -", "- ")
 
 
 def lp_lines(m: IpModel) -> Iterator[str]:
     """Yield the solver-standard LP text line by line, each line ending
     in a newline (objective, Subject To, Bounds, Binary, End).  An empty
     objective becomes the "0 dummy0" convention with dummy0 fixed to 0
-    in Bounds, as is a row without terms.  Each row is checked as it
-    is written, so a faulty row raises ValidationError mid-stream."""
+    in Bounds, as is a row without terms.
+
+    This is the one row check: each row is checked as it is written (a
+    valid name, not used before, a known relation, declared variables
+    only, in that order), so a faulty row raises ValidationError
+    mid-stream."""
     yield "Minimize\n" if m.sense == "min" else "Maximize\n"
-    if m.objective:
-        yield f" obj: {_format_terms(m.objective)}\n"
-    else:
-        yield " obj: 0 dummy0\n"
+    yield f" obj: {_format_terms(m.objective) if m.objective else '0 dummy0'}\n"
     yield "Subject To\n"
+    declared = m._declared()
+    names: set[str] = set()
     dummy = not m.objective
-    for c in m.checked_rows():
-        if c.terms:
-            body = _format_terms(c.terms)
+    for name, terms, relation, rhs in m.constraints:
+        if not _NAME_RE.match(name):
+            raise ValidationError(f"invalid constraint name {quote(name)}")
+        if name in names:
+            raise ValidationError(f"duplicate constraint name {quote(name)}")
+        names.add(name)
+        if relation not in _RELATIONS:
+            raise ValidationError(f"bad relation {quote(relation)} in {quote(name)}")
+        for _, var in terms:
+            if var not in declared:
+                raise ValidationError(
+                    f"undeclared variable {quote(var)} in constraint {quote(name)}"
+                )
+        if terms:
+            body = _format_terms(terms)
         else:
             body, dummy = "0 dummy0", True
-        yield f" {c.name}: {body} {c.relation} {c.rhs}\n"
+        yield f" {name}: {body} {relation} {rhs}\n"
     yield "Bounds\n"
     if dummy:
         yield " dummy0 = 0\n"
@@ -440,7 +430,7 @@ def read_lp(text: str) -> IpModel:
             raise DocumentError(f"unexpected section {quote(lines[i])}")
     try:
         model = IpModel(sense, objective, tuple(constraints), tuple(binaries), tuple(reals))
-        for _ in model.checked_rows():
+        for _ in lp_lines(model):
             pass
     except ValidationError as exc:
         raise DocumentError(str(exc)) from None

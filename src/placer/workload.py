@@ -18,6 +18,7 @@ import json
 import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .common import INT64_MAX, DocumentError, quote
 
@@ -239,24 +240,45 @@ def validate_workload(w: Workload) -> None:
         raise DocumentError("workload totals overflow a signed 64-bit integer")
 
 
+def _json_list(entries: list[str], indent: str) -> str:
+    """A list of written entries, laid out as json.dumps(indent=2) lays
+    out a list whose closing bracket sits at `indent`."""
+    if not entries:
+        return "[]"
+    return "[\n" + ",\n".join(entries) + "\n" + indent + "]"
+
+
 def serialize_workload(w: Workload) -> str:
-    """Serialize to the document format; defaulted fields are omitted."""
-    doc: dict = {
-        "tables": [{"id": t.id, "size": t.size} for t in w.tables],
-        "queries": [],
-    }
+    """Serialize to the document format; defaulted fields are omitted.
+
+    The document's shape is fixed, so each entry is written by one
+    format string rather than through json.dumps(indent=2), whose
+    indented output runs in pure Python.  Ids are escaped by the C
+    function json.dumps itself uses, and the text is byte for byte
+    json.dumps(doc, indent=2) + "\n" of the same document."""
+    tables = [f'    {{\n      "id": {_json_str(t.id)},\n      "size": {t.size!r}\n    }}'
+              for t in w.tables]
+    queries = []
     for q in w.queries:
-        entry: dict = {
-            "id": q.id,
-            "refs": [{"table": r.table, "cost": r.cost} for r in q.refs],
-        }
+        refs = _json_list(
+            [f'        {{\n          "table": {_json_str(r.table)},\n'
+             f'          "cost": {r.cost!r}\n        }}' for r in q.refs], "      ")
+        entry = f'    {{\n      "id": {_json_str(q.id)},\n      "refs": {refs}'
         if q.frequency != 1:
-            entry["frequency"] = q.frequency
+            entry += f',\n      "frequency": {q.frequency!r}'
         if q.exec_cost != sum(r.cost for r in q.refs):
-            entry["exec_cost"] = q.exec_cost
-        doc["queries"].append(entry)
-    doc["servers"] = [server_entry(s) for s in w.servers]
-    return json.dumps(doc, indent=2) + "\n"
+            entry += f',\n      "exec_cost": {q.exec_cost!r}'
+        queries.append(entry + "\n    }")
+    servers = []
+    for s in w.servers:
+        entry = (f'    {{\n      "id": {_json_str(s.id)},\n'
+                 f'      "storage_capacity": {s.storage_capacity!r}')
+        if s.load_capacity is not None:
+            entry += f',\n      "load_capacity": {s.load_capacity!r}'
+        servers.append(entry + "\n    }")
+    return (f'{{\n  "tables": {_json_list(tables, "  ")},\n'
+            f'  "queries": {_json_list(queries, "  ")},\n'
+            f'  "servers": {_json_list(servers, "  ")}\n}}\n')
 
 
 def validate_capacity_lower_bounds(w: Workload) -> list[str]:

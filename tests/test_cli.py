@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 import json
 import random
@@ -102,6 +104,25 @@ def test_plan_json_and_csv_formats(capsys, tmp_path, fig2_file):
                        "--out", out_path)
     assert out.splitlines()[0] == "query,site,cost"
     assert len(out.splitlines()) == 5
+
+
+def test_plan_csv_quotes_ids(capsys, tmp_path):
+    # Ids holding a comma or a quote are quoted as RFC 4180 requires, so
+    # a CSV reader gets the three fields back.
+    doc = {
+        "tables": [{"id": "T,1", "size": 1}],
+        "queries": [{"id": 'Q"1,x', "refs": [{"table": "T,1", "cost": 1}]},
+                    {"id": "Q2", "refs": [{"table": "T,1", "cost": 2}]}],
+        "servers": [{"id": "S,1", "storage_capacity": 1}],
+    }
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "plan", path, "--format", "csv",
+                       "--out", tmp_path / "p.json")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows == [["query", "site", "cost"], ['Q"1,x', "S,1", "0"], ["Q2", "S,1", "0"]]
+    assert out.splitlines()[1] == '"Q""1,x","S,1",0'
 
 
 def test_plan_reports_the_winning_seed_and_v_cycles(capsys, tmp_path):

@@ -269,6 +269,12 @@ def test_model_validation():
         IpModel("min", (), (), ("x",), ("x",))
     with pytest.raises(ValidationError, match="unknown objective sense"):
         IpModel("minimize", (), (), ("x",), ())
+    # A name must end at the end of the string, not before a final
+    # newline: a row named "c\n" would be written as a line LP rejects.
+    with pytest.raises(ValidationError, match="invalid variable name"):
+        IpModel("min", ((1, "x\n"),), (), ("x\n",), ())
+    with pytest.raises(ValidationError, match="invalid constraint name"):
+        write_lp(IpModel("min", (), (IpConstraint("c\n", ((1, "x"),), "<=", 1),), ("x",), ()))
 
 
 def _faulty_rows():

@@ -168,6 +168,61 @@ def test_serialize_parse_round_trip(w):
     assert parse_workload(serialize_workload(w)) == w
 
 
+# Ids with quotes, backslashes, control and non-ASCII characters, beside
+# any text at all.
+texts = st.one_of(
+    st.text(min_size=1),
+    st.text('"\\\x00\x1f\n\x7f\u00e9\u2028\U0001f600a', min_size=1),
+)
+
+
+@st.composite
+def any_workloads(draw):
+    """Valid workloads with any ids, every optional field and possibly
+    empty sections."""
+    ids = draw(st.lists(texts, unique=True, max_size=10))
+    n_tables = draw(st.integers(0, len(ids)))
+    tables = [Table(tid, draw(st.integers(0, 2**32))) for tid in ids[:n_tables]]
+    queries = []
+    for qid in ids[n_tables:] if tables else ():
+        picks = draw(st.lists(st.sampled_from(tables), min_size=1, unique=True))
+        refs = tuple(QueryRef(t.id, draw(st.integers(0, 2**32))) for t in picks)
+        frequency = draw(st.integers(1, 2**16))
+        queries.append(Query(qid, refs, frequency, draw(st.none() | st.integers(0, 2**32))))
+    servers = [
+        Server(sid, draw(st.integers(0, 2**40)), draw(st.none() | st.integers(0, 2**40)))
+        for sid in draw(st.lists(texts, unique=True, max_size=4))
+    ]
+    return Workload(tuple(tables), tuple(queries), tuple(servers))
+
+
+def reference_document(w):
+    """The workload document as a JSON value, defaulted fields omitted."""
+    doc = {"tables": [{"id": t.id, "size": t.size} for t in w.tables], "queries": []}
+    for q in w.queries:
+        entry = {"id": q.id, "refs": [{"table": r.table, "cost": r.cost} for r in q.refs]}
+        if q.frequency != 1:
+            entry["frequency"] = q.frequency
+        if q.exec_cost != sum(r.cost for r in q.refs):
+            entry["exec_cost"] = q.exec_cost
+        doc["queries"].append(entry)
+    doc["servers"] = []
+    for srv in w.servers:
+        entry = {"id": srv.id, "storage_capacity": srv.storage_capacity}
+        if srv.load_capacity is not None:
+            entry["load_capacity"] = srv.load_capacity
+        doc["servers"].append(entry)
+    return doc
+
+
+@given(any_workloads())
+@settings(max_examples=300, deadline=None)
+def test_serialize_is_json_dumps_byte_for_byte(w):
+    text = serialize_workload(w)
+    assert text == json.dumps(reference_document(w), indent=2) + "\n"
+    assert parse_workload(text) == w
+
+
 def test_capacity_bounds_tpcds_shape():
     # Three size-100 tables plus four of size >= 50 against 4x145: the
     # totals line up exactly, so neither cheap bound fires (the packing
