@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Subcommands: plan, oracle, replicate, gen, export-graph,
-import-partition, export-ip, cost.  Exit codes: 0 clean, 2 when the
+import-partition, export-ip, cost.  Every subcommand but gen gets its
+input document through one prologue in `main`: the file is read as
+UTF-8, hashed and decoded once into a workload or view DAG, which the
+command receives with the digest.  Exit codes: 0 clean, 2 when the
 emitted placement violates a capacity, 1 on errors.  Reports are
 deterministic byte-for-byte except for the trailing timing section.
 """
@@ -55,12 +58,6 @@ def _read_text(path) -> str:
         raise DocumentError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
-def _read_input(path: str) -> tuple[str, str]:
-    text = _read_text(path)
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    return text, digest
-
-
 def _out_path(args, source: str, suffix: str) -> Path:
     return Path(args.out) if args.out else Path(source).with_suffix(suffix)
 
@@ -77,6 +74,12 @@ def _load_instance(text: str) -> Workload | ViewDag:
             f"sections {workload_keys}"
         )
     return parse_gdp(doc) if dag_keys else parse_workload(doc)
+
+
+def _require(instance: Workload | ViewDag, kind: type, message: str) -> None:
+    """The one check of each rule on which instance kind a command or option takes."""
+    if not isinstance(instance, kind):
+        raise DocumentError(message)
 
 
 def _server_ids(obj: Workload | ViewDag) -> list[str]:
@@ -146,25 +149,19 @@ def placement_from_document(text: str, instance: Workload | ViewDag) -> Placemen
     return Placement(store, compute)
 
 
-def render_report(
-    title: str,
-    digest: str,
-    config_lines: list[str],
-    report: CostReport,
-    server_ids: list[str],
-    extra: list[str],
-    timings,
-    fmt: str,
-) -> str:
-    if fmt == "json":
-        doc = {
+def _report(args, title, digest, config_lines, report: CostReport, server_ids, extra,
+            timings=()) -> int:
+    """Print the report; exit code 2 exactly when it lists violations."""
+    per_query = sorted(report.per_query.items())
+    if args.format == "json":
+        text = json.dumps({
             "title": title,
             "input_sha256": digest,
             "config": config_lines,
             "total_cost": None if report.total_cost == INFINITE else report.total_cost,
             "per_query": {
                 qid: {"site": server_ids[site], "cost": str(cost)}
-                for qid, (site, cost) in sorted(report.per_query.items())
+                for qid, (site, cost) in per_query
             },
             "per_server": [
                 {"id": server_ids[k], "storage": st, "load": ld}
@@ -173,41 +170,30 @@ def render_report(
             "violations": list(report.violations),
             "notes": extra,
             "timings": {name: round(sec, 6) for name, sec in timings},
-        }
-        return json.dumps(doc, indent=2) + "\n"
-    if fmt == "csv":
+        }, indent=2) + "\n"
+    elif args.format == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(("query", "site", "cost"))
-        writer.writerows((qid, server_ids[site], cost)
-                         for qid, (site, cost) in sorted(report.per_query.items()))
-        return out.getvalue()
-    lines = [f"== {title} ==", f"input sha256: {digest}"]
-    lines.extend(config_lines)
-    lines.append(f"total cost: {report.total_cost}")
-    for qid, (site, cost) in sorted(report.per_query.items()):
-        lines.append(f"  {qid}: site {server_ids[site]} cost {cost}")
-    for k, (st, ld) in enumerate(report.per_server):
-        lines.append(f"  {server_ids[k]}: storage {st} load {ld}")
-    if report.violations:
-        lines.append("violations:")
-        lines.extend(f"  {v}" for v in report.violations)
+        writer.writerows((qid, server_ids[site], cost) for qid, (site, cost) in per_query)
+        text = out.getvalue()
     else:
-        lines.append("violations: none")
-    lines.extend(extra)
-    lines.append("timing:")
-    lines.extend(f"  {name}: {sec:.3f}s" for name, sec in timings)
-    return "\n".join(lines) + "\n"
-
-
-def _report(
-    args, title, digest, config_lines, report, server_ids, extra, timings=()
-) -> int:
-    """Print the report; exit code 2 exactly when it lists violations."""
-    sys.stdout.write(
-        render_report(title, digest, config_lines, report, server_ids, extra,
-                      timings, args.format)
-    )
+        lines = [f"== {title} ==", f"input sha256: {digest}", *config_lines,
+                 f"total cost: {report.total_cost}"]
+        lines.extend(f"  {qid}: site {server_ids[site]} cost {cost}"
+                     for qid, (site, cost) in per_query)
+        lines.extend(f"  {server_ids[k]}: storage {st} load {ld}"
+                     for k, (st, ld) in enumerate(report.per_server))
+        if report.violations:
+            lines.append("violations:")
+            lines.extend(f"  {v}" for v in report.violations)
+        else:
+            lines.append("violations: none")
+        lines.extend(extra)
+        lines.append("timing:")
+        lines.extend(f"  {name}: {sec:.3f}s" for name, sec in timings)
+        text = "\n".join(lines) + "\n"
+    sys.stdout.write(text)
     return EXIT_VIOLATIONS if report.violations else EXIT_OK
 
 
@@ -231,19 +217,18 @@ def _partition_config(args) -> PartitionConfig:
     return PartitionConfig(**kwargs)
 
 
-def cmd_plan(args) -> int:
-    text, digest = _read_input(args.input)
-    instance = _load_instance(text)
+def cmd_plan(args, instance, digest) -> int:
     cfg = _partition_config(args)
     ratio = None
     if args.min_max_ratio is not None:
         ratio = _option_value(args.min_max_ratio, Fraction, "--min-max-ratio")
         if not 0 <= ratio <= 1:
             raise DocumentError(f"--min-max-ratio must lie in [0, 1], got {ratio}")
+        _require(instance, Workload, "--min-max-ratio applies to plain workloads only")
+    if args.pin_views:
+        _require(instance, ViewDag, "--pin-views applies to view DAGs only")
     t0 = time.perf_counter()
     if isinstance(instance, ViewDag):
-        if ratio is not None:
-            raise DocumentError("--min-max-ratio applies to plain workloads only")
         outcome = plan_view_dag(
             instance, cfg, with_load=args.load, pin_views=args.pin_views
         )
@@ -284,9 +269,7 @@ def cmd_plan(args) -> int:
                    extra, timings)
 
 
-def cmd_oracle(args) -> int:
-    text, digest = _read_input(args.input)
-    instance = _load_instance(text)
+def cmd_oracle(args, instance, digest) -> int:
     limit = OracleLimit(args.budget)
     if isinstance(instance, ViewDag):
         result = optimal_gdp(instance, limit)
@@ -306,19 +289,14 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def cmd_cost(args) -> int:
-    text, digest = _read_input(args.input)
-    instance = _load_instance(text)
+def cmd_cost(args, instance, digest) -> int:
     placement = placement_from_document(_read_text(args.placement), instance)
     return _report(args, "cost", digest, [f"placement: {args.placement}"],
                    cost_of(placement, instance), _server_ids(instance), [])
 
 
-def cmd_replicate(args) -> int:
-    text, digest = _read_input(args.input)
-    w = _load_instance(text)
-    if isinstance(w, ViewDag):
-        raise DocumentError("replicate needs a plain workload")
+def cmd_replicate(args, w, digest) -> int:
+    _require(w, Workload, "replicate needs a plain workload")
     cfg = ReplicationConfig(args.replication, args.seed)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -358,9 +336,8 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def cmd_export_graph(args) -> int:
-    text, digest = _read_input(args.input)
-    graph, _ = graph_of(_load_instance(text), args.load)
+def cmd_export_graph(args, instance, digest) -> int:
+    graph, _ = graph_of(instance, args.load)
     out_path = _out_path(args, args.input, ".graph")
     out_path.write_text(export_graph(graph))
     print(f"graph: {out_path}")
@@ -376,9 +353,7 @@ def cmd_export_graph(args) -> int:
     return EXIT_OK
 
 
-def cmd_import_partition(args) -> int:
-    text, digest = _read_input(args.input)
-    instance = _load_instance(text)
+def cmd_import_partition(args, instance, digest) -> int:
     server_ids = _server_ids(instance)
     graph, merge_map = graph_of(instance, args.load)
     assignment = import_partition(_read_text(args.partition), graph)
@@ -391,20 +366,15 @@ def cmd_import_partition(args) -> int:
                    server_ids, extra)
 
 
-def cmd_export_ip(args) -> int:
-    text, digest = _read_input(args.input)
-    instance = _load_instance(text)
-    if args.model == "gdp":
-        if not isinstance(instance, ViewDag):
-            raise DocumentError("gdp model needs a GDP document")
+def cmd_export_ip(args, instance, digest) -> int:
+    gdp = args.model == "gdp"
+    needs = "a GDP document" if gdp else "a plain workload"
+    _require(instance, ViewDag if gdp else Workload, f"{args.model} model needs {needs}")
+    if gdp:
         model = build_gdp_ip(instance)
     elif args.model == "replication":
-        if isinstance(instance, ViewDag):
-            raise DocumentError("replication model needs a plain workload")
         model = build_replication_ip(instance, args.replication)
     else:
-        if isinstance(instance, ViewDag):
-            raise DocumentError("dp model needs a plain workload")
         model = build_dp_ip(instance)
     out_path = _out_path(args, args.input, ".lp")
     # Rows are built and checked as they are written, so the model is
@@ -515,7 +485,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        if args.command == "gen":
+            return args.func(args)
+        text = _read_text(args.input)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        return args.func(args, _load_instance(text), digest)
     except (PlacerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

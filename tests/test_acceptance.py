@@ -223,9 +223,7 @@ def test_criterion_8_load_balancing_trend():
     details = []
     for servers in (4, 8):
         w = generate(GenSpec(shape="tpcds", seed=1, n_servers=servers))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            levels = balance_sweep(w, ratios)
+        levels = balance_sweep(w, ratios)
         costs = [lvl.cost for lvl in levels]
         details.append(f"l={servers}: {costs}")
         if not all(costs[i] <= costs[i + 1] for i in range(len(costs) - 1)):

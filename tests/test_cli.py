@@ -585,9 +585,41 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert "error:" in err
 
 
-def test_missing_file_exit_code(capsys, tmp_path):
-    code, _, err = run(capsys, "plan", tmp_path / "absent.json")
-    assert code == 1
+# Each command that reads an input document, with BAD as that document.
+# Its other files are valid, and OUT is its --out where it has one.
+INPUT_ARGV = {
+    "plan": ["plan", "BAD", "--out", "OUT"],
+    "oracle": ["oracle", "BAD", "--out", "OUT"],
+    "cost": ["cost", "BAD", "PLACEMENT"],
+    "replicate": ["replicate", "BAD", "--replication", "1", "--out", "OUT"],
+    "export-graph": ["export-graph", "BAD", "--out", "OUT"],
+    "import-partition": ["import-partition", "BAD", "PARTITION", "--out", "OUT"],
+    "export-ip": ["export-ip", "BAD", "--out", "OUT"],
+}
+
+
+def run_rejected(capsys, tmp_path, fig2_file, argv, bad):
+    """Run argv with BAD standing for `bad`; the run must exit 1 with one
+    error line, print nothing on stdout and write no file."""
+    placement = tmp_path / "fig2.placement.json"
+    placement.write_text(json.dumps({"store": FIG2_STORE}))
+    partition = tmp_path / "fig2.part"
+    partition.write_text("0\n" * 10)
+    before = sorted(tmp_path.iterdir())
+    files = {"BAD": bad, "FIG2": fig2_file, "PLACEMENT": placement,
+             "PARTITION": partition, "OUT": tmp_path / "out"}
+    code, out, err = run(capsys, *(files.get(a, a) for a in argv))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == before
+    return err
+
+
+@pytest.mark.parametrize("command", INPUT_ARGV)
+def test_missing_file_exit_code(capsys, tmp_path, fig2_file, command):
+    err = run_rejected(capsys, tmp_path, fig2_file, INPUT_ARGV[command],
+                       tmp_path / "absent.json")
+    assert "absent.json" in err
 
 
 FIG2_STORE = {f"T{j}": ["S1"] for j in range(1, 7)}
@@ -664,6 +696,7 @@ def test_cost_rejects_malformed_placement(capsys, tmp_path, fig2_file, gdp_file,
     (["plan", "FIG2", "--seeds", "1,1"], "seeds must be distinct"),
     (["plan", "FIG2", "--slacks", "0,0"], "slack_factors must be distinct"),
     (["plan", "EMPTY", "--min-max-ratio", "0.5"], "at least one part capacity is required"),
+    (["plan", "FIG2", "--pin-views"], "--pin-views applies to view DAGs only"),
 ])
 def test_plan_rejects_bad_arguments(capsys, tmp_path, fig2_file, argv, message):
     # Exit code 2 means capacity violations, so usage errors exit 1 too.
@@ -675,6 +708,7 @@ def test_plan_rejects_bad_arguments(capsys, tmp_path, fig2_file, argv, message):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
     assert out == ""
+    assert not (tmp_path / "p.json").exists()
 
 
 def test_help_exits_zero(capsys):
@@ -684,17 +718,20 @@ def test_help_exits_zero(capsys):
     assert "--min-max-ratio" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("command", ["plan", "cost", "import-partition"])
+# The binary file as every command's input document, and as the second
+# document of cost and import-partition.
+NON_UTF8_ARGV = {
+    **INPUT_ARGV,
+    "cost input": INPUT_ARGV["cost"],
+    "import-partition input": INPUT_ARGV["import-partition"],
+    "cost": ["cost", "FIG2", "BAD"],
+    "import-partition": ["import-partition", "FIG2", "BAD", "--out", "OUT"],
+}
+
+
+@pytest.mark.parametrize("command", NON_UTF8_ARGV)
 def test_non_utf8_file_is_a_document_error(capsys, tmp_path, fig2_file, command):
     binary = tmp_path / "binary.bin"
     binary.write_bytes(b"\xff\xfe\x00{binary")
-    args = {
-        "plan": ["plan", binary, "--out", tmp_path / "p.json"],
-        "cost": ["cost", fig2_file, binary],
-        "import-partition": ["import-partition", fig2_file, binary,
-                             "--out", tmp_path / "p.json"],
-    }[command]
-    code, _, err = run(capsys, *args)
-    assert code == 1
-    assert err.startswith("error: ") and err.count("\n") == 1
+    err = run_rejected(capsys, tmp_path, fig2_file, NON_UTF8_ARGV[command], binary)
     assert "not UTF-8 text (byte 0)" in err

@@ -1,5 +1,4 @@
 import json
-import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -155,9 +154,7 @@ def test_balance_sweep_monotone_tpcds():
     ratios = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
     for servers in (4, 8):
         w = generate(GenSpec(shape="tpcds", seed=1, n_servers=servers))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            levels = balance_sweep(w, ratios, FAST)
+        levels = balance_sweep(w, ratios, FAST)
         costs = [lvl.cost for lvl in levels]
         # tightening the target never lowers the best found cost
         assert all(costs[i] <= costs[i + 1] for i in range(len(costs) - 1))
@@ -166,9 +163,7 @@ def test_balance_sweep_monotone_tpcds():
 
 def test_balance_sweep_tighter_ratio_helps_balance():
     w = generate(GenSpec(shape="tpcds", seed=1, n_servers=4))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        levels = balance_sweep(w, [Fraction(0), Fraction(3, 4)], FAST)
+    levels = balance_sweep(w, [Fraction(0), Fraction(3, 4)], FAST)
     loose, tight = levels
     def ratio(loads):
         busy = [x for x in loads if x]
@@ -198,10 +193,8 @@ def test_balance_sweep_without_storage_feasible_level():
     # 598 units of tables on 4 x 144: every plan violates storage, so the
     # level falls back to its own outcome instead of an empty pool.
     w = generate(GenSpec(shape="tpcds", seed=1, n_servers=4, server_capacity=144))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        (level,) = balance_sweep(w, [Fraction(1, 2)], FAST)
-        outcome = plan_workload(w, FAST, min_max_ratio=Fraction(1, 2))
+    (level,) = balance_sweep(w, [Fraction(1, 2)], FAST)
+    outcome = plan_workload(w, FAST, min_max_ratio=Fraction(1, 2))
     assert not level.feasible
     assert level.cost == outcome.report.total_cost
     assert level.placement == outcome.placement
