@@ -82,6 +82,13 @@ def _require(instance: Workload | ViewDag, kind: type, message: str) -> None:
         raise DocumentError(message)
 
 
+def _note_ignored_load_capacity(instance: Workload | ViewDag, honoured: bool) -> None:
+    """The one note for a run that ignores the servers' declared load capacities."""
+    if not honoured and any(s.load_capacity is not None for s in instance.servers):
+        print("note: servers declare load_capacity, which is ignored without --load",
+              file=sys.stderr)
+
+
 def _server_ids(obj: Workload | ViewDag) -> list[str]:
     return [s.id for s in obj.servers]
 
@@ -227,6 +234,7 @@ def cmd_plan(args, instance, digest) -> int:
         _require(instance, Workload, "--min-max-ratio applies to plain workloads only")
     if args.pin_views:
         _require(instance, ViewDag, "--pin-views applies to view DAGs only")
+    _note_ignored_load_capacity(instance, args.load or ratio is not None)
     t0 = time.perf_counter()
     if isinstance(instance, ViewDag):
         outcome = plan_view_dag(
@@ -337,6 +345,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_export_graph(args, instance, digest) -> int:
+    _note_ignored_load_capacity(instance, args.load)
     graph, _ = graph_of(instance, args.load)
     out_path = _out_path(args, args.input, ".graph")
     out_path.write_text(export_graph(graph))
@@ -354,6 +363,7 @@ def cmd_export_graph(args, instance, digest) -> int:
 
 
 def cmd_import_partition(args, instance, digest) -> int:
+    _note_ignored_load_capacity(instance, args.load)
     server_ids = _server_ids(instance)
     graph, merge_map = graph_of(instance, args.load)
     assignment = import_partition(_read_text(args.partition), graph)
@@ -367,13 +377,16 @@ def cmd_import_partition(args, instance, digest) -> int:
 
 
 def cmd_export_ip(args, instance, digest) -> int:
+    r = args.replication
+    if r is not None and args.model != "replication":
+        raise DocumentError("--replication applies to --model replication only")
     gdp = args.model == "gdp"
     needs = "a GDP document" if gdp else "a plain workload"
     _require(instance, ViewDag if gdp else Workload, f"{args.model} model needs {needs}")
     if gdp:
         model = build_gdp_ip(instance)
     elif args.model == "replication":
-        model = build_replication_ip(instance, args.replication)
+        model = build_replication_ip(instance, 1 if r is None else r)
     else:
         model = build_dp_ip(instance)
     out_path = _out_path(args, args.input, ".lp")
@@ -475,7 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-ip", help="write an LP-format integer program")
     add_common(p, with_format=False)
     p.add_argument("--model", choices=("dp", "gdp", "replication"), default="dp")
-    p.add_argument("--replication", type=int, default=1)
+    p.add_argument("--replication", type=int,
+                   help="replicas per table of --model replication (default 1)")
     p.add_argument("--out", help="LP output path")
     p.set_defaults(func=cmd_export_ip)
 

@@ -104,30 +104,23 @@ class IpModel:
         return set(self.binaries) | set(self.bounded_reals)
 
 
-def _site_rows(stems: list[str], l: int):
-    """Each stem's variables stem_S1..stem_Sl as three per-object rows:
-    the names, their (1, name) terms and their (-1, name) terms.  Every
-    row of a model refers to these shared objects instead of formatting
-    a name or building a pair again."""
-    names = [[f"{stem}_S{k}" for k in range(1, l + 1)] for stem in stems]
-    plus = [tuple((1, v) for v in row) for row in names]
-    minus = [tuple((-1, v) for v in row) for row in names]
-    return names, plus, minus
+def _site_names(stems: list[str], l: int) -> list[list[str]]:
+    """Each stem's variables stem_S1..stem_Sl as one per-object row of
+    names, formatted once and shared by every row that uses them."""
+    return [[f"{stem}_S{k}" for k in range(1, l + 1)] for stem in stems]
 
 
-def _one_of(name: str, plus: tuple[tuple[int, str], ...]) -> IpConstraint:
+def _one_of(name: str, row: list[str]) -> IpConstraint:
     """Exactly one variable of the row is 1."""
-    return IpConstraint(name, plus, "=", 1)
+    return IpConstraint(name, tuple((1, v) for v in row), "=", 1)
 
 
-def _abs_diff(name: str, a: tuple, b: tuple, ind: tuple[int, str]) -> tuple[IpConstraint, ...]:
+def _abs_diff(name: str, a: str, b: str, ind: str) -> tuple[IpConstraint, ...]:
     """ind >= |a - b|, as the rows name_a (a - b - ind <= 0) and name_b
-    (b - a - ind <= 0); a and b are the (plus, minus) terms of their
-    variables, ind the (-1, ind) term of the indicator."""
-    (plus_a, minus_a), (plus_b, minus_b) = a, b
+    (b - a - ind <= 0)."""
     return (
-        IpConstraint(f"{name}_a", (plus_a, minus_b, ind), "<=", 0),
-        IpConstraint(f"{name}_b", (plus_b, minus_a, ind), "<=", 0),
+        IpConstraint(f"{name}_a", ((1, a), (-1, b), (-1, ind)), "<=", 0),
+        IpConstraint(f"{name}_b", ((1, b), (-1, a), (-1, ind)), "<=", 0),
     )
 
 
@@ -153,25 +146,22 @@ def build_dp_ip(w: Workload) -> IpModel:
     equalities, storage capacities, and per-reference co-location
     indicators lam >= +-(x_query - x_table) driving the minimization."""
     l = len(w.servers)
-    x_t, plus_t, minus_t = _site_rows([f"x_T{j}" for j in range(1, len(w.tables) + 1)], l)
-    x_q, plus_q, minus_q = _site_rows([f"x_Q{i}" for i in range(1, len(w.queries) + 1)], l)
+    x_t = _site_names([f"x_T{j}" for j in range(1, len(w.tables) + 1)], l)
+    x_q = _site_names([f"x_Q{i}" for i in range(1, len(w.queries) + 1)], l)
     refs = _references(w)
     lams = tuple(f"lam_Q{i + 1}_T{j + 1}" for i, j, _ in refs)
 
     def rows() -> Iterator[IpConstraint]:
-        for j, row in enumerate(plus_t, start=1):
+        for j, row in enumerate(x_t, start=1):
             yield _one_of(f"assign_T{j}", row)
-        for i, row in enumerate(plus_q, start=1):
+        for i, row in enumerate(x_q, start=1):
             yield _one_of(f"assign_Q{i}", row)
         for k, s in enumerate(w.servers):
             terms = tuple((t.size, x_t[j][k]) for j, t in enumerate(w.tables) if t.size > 0)
             yield IpConstraint(f"cap_S{k + 1}", terms, "<=", s.storage_capacity)
         for (i, j, _), lam in zip(refs, lams):
-            ind = (-1, lam)
             for k in range(l):
-                yield from _abs_diff(
-                    f"{lam}_S{k + 1}", (plus_q[i][k], minus_q[i][k]),
-                    (plus_t[j][k], minus_t[j][k]), ind)
+                yield from _abs_diff(f"{lam}_S{k + 1}", x_q[i][k], x_t[j][k], lam)
 
     objective = _weighted((coef for _, _, coef in refs), lams)
     return IpModel("min", objective, _Rows(rows), _flat(x_t) + _flat(x_q), lams)
@@ -186,9 +176,9 @@ def build_replication_ip(w: Workload, r: int) -> IpModel:
         raise ValidationError("replication factor must be >= 1")
     if r > l:
         raise ValidationError(f"replication factor {r} exceeds {l} servers")
-    y, plus_y, minus_y = _site_rows([f"y_Q{i}" for i in range(1, len(w.queries) + 1)], l)
+    y = _site_names([f"y_Q{i}" for i in range(1, len(w.queries) + 1)], l)
     # Replica h of table j is row j * r + h (both 0-based).
-    x, plus_x, minus_x = _site_rows(
+    x = _site_names(
         [f"xr{h}_T{j}" for j in range(1, len(w.tables) + 1) for h in range(1, r + 1)], l)
     refs = _references(w)
     # One product per (reference, server, replica), in that order.
@@ -196,14 +186,14 @@ def build_replication_ip(w: Workload, r: int) -> IpModel:
                for i, j, _ in refs for k in range(l) for h in range(r))
 
     def rows() -> Iterator[IpConstraint]:
-        for i, row in enumerate(plus_y, start=1):
+        for i, row in enumerate(y, start=1):
             yield _one_of(f"assign_Q{i}", row)
         for j in range(len(w.tables)):
             replicas = range(j * r, (j + 1) * r)
             for h, row in enumerate(replicas):
-                yield _one_of(f"assign_T{j + 1}_r{h + 1}", plus_x[row])
+                yield _one_of(f"assign_T{j + 1}_r{h + 1}", x[row])
             for k in range(l):
-                once = tuple(plus_x[row][k] for row in replicas)
+                once = tuple((1, x[row][k]) for row in replicas)
                 yield IpConstraint(f"replica_once_T{j + 1}_S{k + 1}", once, "<=", 1)
         for k, s in enumerate(w.servers):
             terms = tuple(
@@ -218,9 +208,8 @@ def build_replication_ip(w: Workload, r: int) -> IpModel:
             for k in range(l):
                 for h in range(r):
                     z = next(products)
-                    plus_z = (1, z)
-                    yield IpConstraint(f"{z}_y", (plus_z, minus_y[i][k]), "<=", 0)
-                    yield IpConstraint(f"{z}_x", (plus_z, minus_x[j * r + h][k]), "<=", 0)
+                    yield IpConstraint(f"{z}_y", ((1, z), (-1, y[i][k])), "<=", 0)
+                    yield IpConstraint(f"{z}_x", ((1, z), (-1, x[j * r + h][k])), "<=", 0)
 
     objective = _weighted((coef for _, _, coef in refs for _ in range(l * r)), zs)
     return IpModel("max", objective, _Rows(rows), _flat(y) + _flat(x), zs)
@@ -233,8 +222,8 @@ def build_gdp_ip(d: ViewDag) -> IpModel:
     l = len(d.servers)
     n = len(d.views)
     v_index = {v.id: j for j, v in enumerate(d.views)}
-    xs, plus_s, minus_s = _site_rows([f"xs_V{j}" for j in range(1, n + 1)], l)
-    xc, plus_c, minus_c = _site_rows([f"xc_V{j}" for j in range(1, n + 1)], l)
+    xs = _site_names([f"xs_V{j}" for j in range(1, n + 1)], l)
+    xc = _site_names([f"xc_V{j}" for j in range(1, n + 1)], l)
     arcs = [(v_index[a.consumer], v_index[a.producer], a.cost) for a in d.arcs if a.cost != 0]
     cuts = [f"cut_V{i + 1}_V{j + 1}" for i, j, _ in arcs]
     # (view, its move indicator, or None for an immovable view) of every
@@ -245,28 +234,22 @@ def build_gdp_ip(d: ViewDag) -> IpModel:
 
     def rows() -> Iterator[IpConstraint]:
         for j in range(n):
-            yield _one_of(f"store_V{j + 1}", plus_s[j])
-            yield _one_of(f"compute_V{j + 1}", plus_c[j])
+            yield _one_of(f"store_V{j + 1}", xs[j])
+            yield _one_of(f"compute_V{j + 1}", xc[j])
         for k, s in enumerate(d.servers):
             terms = tuple((v.size, xs[j][k]) for j, v in enumerate(d.views) if v.size > 0)
             yield IpConstraint(f"cap_S{k + 1}", terms, "<=", s.storage_capacity)
         for (i, j, _), cut in zip(arcs, cuts):
-            ind = (-1, cut)
             for k in range(l):
-                yield from _abs_diff(
-                    f"{cut}_S{k + 1}", (plus_c[i][k], minus_c[i][k]),
-                    (plus_s[j][k], minus_s[j][k]), ind)
+                yield from _abs_diff(f"{cut}_S{k + 1}", xc[i][k], xs[j][k], cut)
         for j, mov in sited:
             if mov is None:
                 for k in range(l):
-                    pin = (plus_s[j][k], minus_c[j][k])
+                    pin = ((1, xs[j][k]), (-1, xc[j][k]))
                     yield IpConstraint(f"pin_V{j + 1}_S{k + 1}", pin, "=", 0)
                 continue
-            ind = (-1, mov)
             for k in range(l):
-                yield from _abs_diff(
-                    f"{mov}_S{k + 1}", (plus_s[j][k], minus_s[j][k]),
-                    (plus_c[j][k], minus_c[j][k]), ind)
+                yield from _abs_diff(f"{mov}_S{k + 1}", xs[j][k], xc[j][k], mov)
 
     objective = tuple((cost, cut) for (_, _, cost), cut in zip(arcs, cuts)) + tuple(movs)
     reals = tuple(cuts) + tuple(mov for _, mov in movs)
@@ -421,13 +404,11 @@ def read_lp(text: str) -> IpModel:
                 else:
                     raise DocumentError(f"unsupported bounds line: {quote(lines[i])}")
                 i += 1
-        elif section == "binary":
+        else:  # "binary": every loop above stops only at bounds, binary or end
             i += 1
             while i < len(lines) and lines[i].lower() not in ("bounds", "end"):
                 binaries.extend(lines[i].split())
                 i += 1
-        else:
-            raise DocumentError(f"unexpected section {quote(lines[i])}")
     try:
         model = IpModel(sense, objective, tuple(constraints), tuple(binaries), tuple(reals))
         for _ in lp_lines(model):

@@ -484,6 +484,43 @@ def test_export_ip_rejects_model_of_other_document(capsys, tmp_path, fig2_file,
     assert not (tmp_path / "x.lp").exists()
 
 
+@pytest.mark.parametrize("model", ["dp", "gdp"])
+def test_export_ip_rejects_replication_for_other_models(capsys, tmp_path, fig2_file,
+                                                        gdp_file, model):
+    path = gdp_file if model == "gdp" else fig2_file
+    code, out, err = run(capsys, "export-ip", path, "--model", model,
+                         "--replication", "3", "--out", tmp_path / "x.lp")
+    assert code == 1 and out == ""
+    assert err == "error: --replication applies to --model replication only\n"
+    assert not (tmp_path / "x.lp").exists()
+
+
+LOAD_NOTE = "note: servers declare load_capacity, which is ignored without --load"
+
+
+@pytest.mark.parametrize("argv, noted", [
+    (["plan", "W", "--out", "OUT"], True),
+    (["plan", "W", "--load", "--out", "OUT"], False),
+    (["plan", "W", "--min-max-ratio", "0.5", "--out", "OUT"], False),
+    (["export-graph", "W", "--out", "OUT"], True),
+    (["export-graph", "W", "--load", "--out", "OUT"], False),
+    (["import-partition", "W", "PARTITION", "--out", "OUT"], True),
+    (["import-partition", "W", "PARTITION", "--load", "--out", "OUT"], False),
+])
+def test_ignored_load_capacity_is_noted(capsys, tmp_path, argv, noted):
+    doc = json.loads(FIG2_DOC)
+    for server in doc["servers"]:
+        server["load_capacity"] = 100
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(doc))
+    partition = tmp_path / "w.part"
+    partition.write_text("0\n1\n2\n" * 3 + "0\n")
+    files = {"W": path, "PARTITION": partition, "OUT": tmp_path / "out"}
+    code, _, err = run(capsys, *(files.get(a, a) for a in argv))
+    assert code in (0, 2)
+    assert err.splitlines().count(LOAD_NOTE) == noted
+
+
 def test_cost_without_compute_section_charges_cheapest_server(capsys, tmp_path,
                                                               fig2_file):
     out_path = tmp_path / "p.json"

@@ -231,7 +231,7 @@ def test_lp_lines_streams(tmp_path):
         tracemalloc.stop()
     size = path.stat().st_size
     assert path.read_text() == write_lp(model)
-    assert peak < 3 * size, (peak, size)
+    assert peak < 2.4 * size, (peak, size)
 
 
 def test_lp_round_trip_fig2(fig2):

@@ -439,3 +439,57 @@ def test_long_values_give_a_short_error_line(fig2_path, faulty, document):
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "... (5000 characters)" in err and len(err) < 200
+
+
+SERVERS = [{"id": "S1", "storage_capacity": 4}]
+
+
+@pytest.mark.parametrize("doc, message", [
+    pytest.param({"tables": [{"id": 5, "size": 1}], "servers": SERVERS},
+                 "table id must be a nonempty string, got 5", id="integer-table-id"),
+    pytest.param({"tables": [{"id": "", "size": 1}], "servers": SERVERS},
+                 "table id must be a nonempty string, got ''", id="empty-table-id"),
+    pytest.param({"tables": {}, "servers": SERVERS}, "'tables' must be a list",
+                 id="tables-not-a-list"),
+    pytest.param({"tables": [1], "servers": SERVERS},
+                 "entries of 'tables' must be objects, got 1", id="table-not-an-object"),
+    pytest.param({"tables": [{"id": "T", "size": 1}], "queries": [{"id": "Q", "refs": [1]}],
+                  "servers": SERVERS},
+                 "refs of query 'Q' must be objects", id="ref-not-an-object"),
+    pytest.param({"views": [{"id": "B", "class": "base_table"}], "servers": SERVERS},
+                 "base table 'B' needs a size", id="base-table-without-size"),
+    pytest.param({"views": [{"id": "Q", "class": "query", "size": 1}], "servers": SERVERS},
+                 "query view 'Q' must have size 0", id="query-view-with-size"),
+    pytest.param({"views": [{"id": "M", "class": "materialized_view"}], "servers": SERVERS},
+                 "materialized view 'M' needs a size", id="materialized-view-without-size"),
+])
+def test_document_rejections_are_one_error_line(fig2_path, doc, message):
+    path = fig2_path.with_name("rejected.json")
+    path.write_text(json.dumps(doc))
+    out_path = path.with_name("rejected.placement.json")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["plan", str(path), "--out", str(out_path)])
+    assert (code, out.getvalue(), err.getvalue()) == (1, "", f"error: {message}\n")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("read, text, message", [
+    (read_lp, "Minimize\n obj: 1 2 x\nSubject To\nEnd\n", "two consecutive numbers"),
+    (read_lp, "Minimize\n obj: 1 x-y\nSubject To\nEnd\n", "invalid variable name 'x-y'"),
+    (read_lp, "Minimize\n obj: 1 x + 2\nSubject To\nEnd\n", "dangling coefficient"),
+    (read_lp, "Minimize\n obj: 1 x\n", "missing 'Subject To' section"),
+    (read_lp, "Minimize\n obj: 1 x\nSubject To\n 1 x <= 1\nEnd\n",
+     "constraint without a name"),
+    (read_lp, "Minimize\n obj: 1 x\nSubject To\nBounds\n x >= 0\nEnd\n",
+     "unsupported bounds line"),
+    (read_graph, "2 1 001 1\n1 2 1\n1 1 1\n", "unsupported graph format"),
+    (read_graph, "3 1 011 1\n1 2 1\n1 1 1\n", "node lines for n="),
+    (read_graph, "2 1 011 1\n1 3 1\n1 1 1\n", "references node 3 out of range"),
+    (read_graph, "2 1 011 1\n1 2 1\n1 1 2\n", "asymmetric weights"),
+    (read_graph, "2 2 011 1\n1 2 1\n1 1 1\n", "header says"),
+    (read_graph, "2 1 011 2\n1 1 2 1\n1 1 1 1\n", "do not match the graph's ncon"),
+])
+def test_lp_and_graph_rejections_are_document_errors(read, text, message):
+    with pytest.raises(DocumentError, match=re.escape(message)):
+        read(text)
