@@ -46,7 +46,6 @@ from .reduction import (
     GraphEdge,
     GraphNode,
     PartGraph,
-    PartitionAssignment,
     build_dp_graph,
     build_gdp_graph,
     contract_infinite_edges,

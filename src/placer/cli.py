@@ -82,11 +82,12 @@ def _require(instance: Workload | ViewDag, kind: type, message: str) -> None:
         raise DocumentError(message)
 
 
-def _note_ignored_load_capacity(instance: Workload | ViewDag, honoured: bool) -> None:
-    """The one note for a run that ignores the servers' declared load capacities."""
+def _note_ignored_load_capacity(instance: Workload | ViewDag, honoured: bool,
+                                clause: str = "is ignored without --load") -> None:
+    """The one note for a run that ignores the servers' declared load
+    capacities; `clause` says who ignores them and why."""
     if not honoured and any(s.load_capacity is not None for s in instance.servers):
-        print("note: servers declare load_capacity, which is ignored without --load",
-              file=sys.stderr)
+        print(f"note: servers declare load_capacity, which {clause}", file=sys.stderr)
 
 
 def _server_ids(obj: Workload | ViewDag) -> list[str]:
@@ -279,6 +280,8 @@ def cmd_plan(args, instance, digest) -> int:
 
 def cmd_oracle(args, instance, digest) -> int:
     limit = OracleLimit(args.budget)
+    _note_ignored_load_capacity(
+        instance, False, "oracle ignores: its optimum respects storage capacities only")
     if isinstance(instance, ViewDag):
         result = optimal_gdp(instance, limit)
     else:
@@ -305,7 +308,11 @@ def cmd_cost(args, instance, digest) -> int:
 
 def cmd_replicate(args, w, digest) -> int:
     _require(w, Workload, "replicate needs a plain workload")
-    cfg = ReplicationConfig(args.replication, args.seed)
+    if args.seed is not None and args.heuristic != 1:
+        raise DocumentError("--seed applies to --heuristic 1 only")
+    _note_ignored_load_capacity(
+        w, False, "replicate ignores: neither heuristic balances load")
+    cfg = ReplicationConfig(args.replication, args.seed or 0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         placement = heuristic1(w, cfg) if args.heuristic == 1 else heuristic2(w, cfg)
@@ -316,11 +323,10 @@ def cmd_replicate(args, w, digest) -> int:
     out_path = _out_path(args, args.input, ".placement.json")
     out_path.write_text(placement_to_document(placement, server_ids))
     biggest, desired = max_part_size(placement, w, args.replication)
-    extra = [
-        f"max part size: {biggest} (desired {desired} for r={args.replication})",
-        f"rng seed: {args.seed}",
-        f"placement: {out_path}",
-    ]
+    extra = [f"max part size: {biggest} (desired {desired} for r={args.replication})"]
+    if args.heuristic == 1:
+        extra.append(f"rng seed: {cfg.rng_seed}")
+    extra.append(f"placement: {out_path}")
     return _report(args, f"replicate h{args.heuristic} r={args.replication}", digest,
                    [], report, server_ids, extra)
 
@@ -457,7 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--replication", type=int, required=True)
     p.add_argument("--heuristic", type=int, choices=(1, 2), default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int,
+                   help="permutation seed of --heuristic 1 (default 0)")
     p.add_argument("--out", help="placement output path")
     p.set_defaults(func=cmd_replicate)
 

@@ -1,4 +1,5 @@
-"""Decode partitions into placements and compute exact communication costs.
+"""Decode partitions (node id -> part index) into placements and compute
+exact communication costs.
 
 A placement stores each object on one or more servers (replica sets) and
 fixes the server where each query or view is computed.  Costs are exact
@@ -15,7 +16,7 @@ from typing import Mapping
 
 from .common import INFINITE, ValidationError
 from .gdp import ViewDag
-from .reduction import PartitionAssignment, compute_node, query_node, storage_node, table_node
+from .reduction import compute_node, query_node, storage_node, table_node
 from .workload import Query, Workload
 
 __all__ = [
@@ -48,23 +49,24 @@ def best_site(query: Query, placement: Placement, w: Workload) -> tuple[int, int
     """Cheapest execution server for a query given current replica sets.
 
     A referenced table with any replica on the candidate server costs
-    nothing there.  Ties go to the lowest server index.
+    nothing there.  Ties go to the lowest server index.  One pass over
+    the references sums, per server, the cost its replicas save, so
+    each replica set must name distinct servers of the workload.
     """
-    best_k, best_cost = 0, None
-    for k in range(len(w.servers)):
-        cost = 0
-        for r in query.refs:
-            replicas = placement.store.get(r.table)
-            if replicas is None:
-                raise ValidationError(f"table {r.table!r} is not placed")
-            if k not in replicas:
-                cost += r.cost
-        cost *= query.frequency
-        if best_cost is None or cost < best_cost:
-            best_k, best_cost = k, cost
-    if best_cost is None:
+    if not w.servers:
         raise ValidationError("workload has no servers")
-    return best_k, best_cost
+    total = 0
+    local = [0] * len(w.servers)
+    for r in query.refs:
+        replicas = placement.store.get(r.table)
+        if replicas is None:
+            raise ValidationError(f"table {r.table!r} is not placed")
+        total += r.cost
+        for k in replicas:
+            local[k] += r.cost
+    costs = [query.frequency * (total - here) for here in local]
+    cost = min(costs)
+    return costs.index(cost), cost
 
 
 def site_queries(store: Mapping[str, tuple[int, ...]], w: Workload) -> Placement:
@@ -74,15 +76,15 @@ def site_queries(store: Mapping[str, tuple[int, ...]], w: Workload) -> Placement
     return Placement(store, {q.id: best_site(q, partial, w)[0] for q in w.queries})
 
 
-def _node_part(assignment: PartitionAssignment, node_id: str) -> int:
+def _node_part(assignment: Mapping[str, int], node_id: str) -> int:
     try:
-        return assignment.part_of[node_id]
+        return assignment[node_id]
     except KeyError:
         raise ValidationError(f"assignment does not cover node {node_id!r}") from None
 
 
 def decode_dp(
-    assignment: PartitionAssignment,
+    assignment: Mapping[str, int],
     w: Workload,
     resite: bool = True,
 ) -> Placement:
@@ -102,7 +104,7 @@ def decode_dp(
 
 
 def decode_gdp(
-    assignment: PartitionAssignment,
+    assignment: Mapping[str, int],
     d: ViewDag,
     merge_map: Mapping[str, str] | None = None,
 ) -> Placement:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .common import ValidationError
 from .evaluate import Placement, site_queries
 from .gdp import ViewDag
-from .reduction import PartGraph, PartitionAssignment
+from .reduction import PartGraph
 from .workload import Workload
 
 __all__ = [
@@ -40,8 +40,8 @@ class OracleLimit:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """`solution` is a Placement for the placement oracles and a
-    PartitionAssignment for the partition oracle; None when infeasible
+    """`solution` is a Placement for the placement oracles and a dict
+    from node id to part for the partition oracle; None when infeasible
     or when the budget ran out before anything was found."""
 
     solution: object | None
@@ -243,5 +243,4 @@ def optimal_partition(g: PartGraph, limit: OracleLimit = OracleLimit()) -> Oracl
     cost, assign, complete = _search(len(order), branch, bound, part.copy, limit)
     if assign is None:
         return OracleResult(None, None, complete, False)
-    assignment = PartitionAssignment({order[i].id: k for i, k in enumerate(assign)})
-    return OracleResult(assignment, cost, complete, True)
+    return OracleResult({order[i].id: k for i, k in enumerate(assign)}, cost, complete, True)

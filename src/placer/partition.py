@@ -37,9 +37,10 @@ import random
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Mapping
 
 from .common import INFINITE, DocumentError, ValidationError, parse_int, quote
-from .reduction import GraphEdge, GraphNode, PartGraph, PartitionAssignment
+from .reduction import GraphEdge, GraphNode, PartGraph
 
 __all__ = [
     "DEFAULT_SLACK_FACTORS",
@@ -95,7 +96,7 @@ class PartitionConfig:
 
 @dataclass(frozen=True)
 class PartitionResult:
-    assignment: PartitionAssignment
+    assignment: dict[str, int]  # node id -> part index
     cut_weight: int
     per_part_loads: tuple[tuple[int, ...], ...]
     part_capacities: tuple[tuple[int | float, ...], ...]
@@ -626,9 +627,8 @@ def partition(g: PartGraph, cfg: PartitionConfig | None = None) -> PartitionResu
             ranked = candidate
 
     key, part, loads, violations = ranked
-    assignment = PartitionAssignment({ids[u]: part[u] for u in range(mesh.n)})
     return PartitionResult(
-        assignment=assignment,
+        assignment={ids[u]: part[u] for u in range(mesh.n)},
         cut_weight=key[1],
         per_part_loads=tuple(tuple(v) for v in loads),
         part_capacities=caps_raw,
@@ -640,10 +640,9 @@ def partition(g: PartGraph, cfg: PartitionConfig | None = None) -> PartitionResu
     )
 
 
-def recompute_cut(g: PartGraph, a: PartitionAssignment) -> int | float:
-    """Exact cut weight of an assignment; infinite when an infinite edge
-    crosses parts."""
-    part = a.part_of
+def recompute_cut(g: PartGraph, part: Mapping[str, int]) -> int | float:
+    """Exact cut weight of an assignment (node id -> part); infinite
+    when an infinite edge crosses parts."""
     total: int | float = 0
     for e in g.edges:
         try:
@@ -705,7 +704,7 @@ def capacity_fractions(g: PartGraph) -> list[tuple[Fraction, ...]]:
     return [tuple(out[d][k] for d in range(ncon)) for k in range(len(g.part_capacities))]
 
 
-def import_partition(text: str, g: PartGraph) -> PartitionAssignment:
+def import_partition(text: str, g: PartGraph) -> dict[str, int]:
     """Read one part index per line, node order matching export_graph."""
     ids, _ = _mesh_of(g)
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
@@ -720,7 +719,7 @@ def import_partition(text: str, g: PartGraph) -> PartitionAssignment:
         if not 0 <= p < l:
             raise DocumentError(f"part index {p} out of range for {l} parts")
         part_of[nid] = p
-    return PartitionAssignment(part_of)
+    return part_of
 
 
 def parse_graph(text: str, part_capacities) -> PartGraph:

@@ -16,12 +16,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Mapping
+
 from .common import INFINITE
 from .evaluate import CostReport, Placement, decode_dp, decode_gdp, dp_cost, gdp_cost
 from .gdp import ViewClass, ViewDag
 from .partition import PartitionConfig, PartitionResult, partition
-from .reduction import (PartGraph, PartitionAssignment, build_dp_graph, build_gdp_graph,
-                        contract_infinite_edges)
+from .reduction import PartGraph, build_dp_graph, build_gdp_graph, contract_infinite_edges
 from .workload import Server, Workload
 
 __all__ = [
@@ -88,7 +89,7 @@ def graph_of(
     return build_dp_graph(instance, with_load=with_load), {}
 
 
-def decode(assignment: PartitionAssignment, instance: Workload | ViewDag,
+def decode(assignment: Mapping[str, int], instance: Workload | ViewDag,
            merge_map: dict[str, str], with_load: bool = False) -> Placement:
     """The placement a partition of `graph_of(instance, with_load)`
     stands for."""

@@ -16,7 +16,6 @@ contraction, both before partitioning and before file export.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from .common import INFINITE
 from .gdp import ViewDag
@@ -26,7 +25,6 @@ __all__ = [
     "GraphNode",
     "GraphEdge",
     "PartGraph",
-    "PartitionAssignment",
     "table_node",
     "query_node",
     "storage_node",
@@ -66,11 +64,6 @@ class PartGraph:
 
     def has_infinite_edges(self) -> bool:
         return any(e.weight == INFINITE for e in self.edges)
-
-
-@dataclass(frozen=True)
-class PartitionAssignment:
-    part_of: Mapping[str, int]
 
 
 def table_node(table_id: str) -> str:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .common import ValidationError
-from .evaluate import Placement, best_site, site_queries, storage_usage
+from .evaluate import Placement, site_queries, storage_usage
 from .partition import PartitionConfig
 from .pipeline import plan_workload
 from .workload import Server, Workload, validate_capacity_lower_bounds
@@ -107,14 +107,14 @@ def heuristic2(w: Workload, cfg: ReplicationConfig) -> Placement:
         block = list(range(start, end))
         sub = Workload(w.tables, tuple(remaining), tuple(w.servers[k] for k in block))
         _warn_capacity(sub, w, f"heuristic 2 round {i}")
-        round_placement = plan_workload(sub, cfg.partition).placement
+        outcome = plan_workload(sub, cfg.partition)
         for t in w.tables:
-            replica_sets[t.id].append(block[round_placement.store[t.id][0]])
+            replica_sets[t.id].append(block[outcome.placement.store[t.id][0]])
         if i < r and remaining:
-            costs = {
-                q.id: best_site(q, round_placement, sub)[1] for q in remaining
-            }
-            remaining.sort(key=lambda q: (costs[q.id], q.id))
+            # The round's plan sites every query at its cheapest server,
+            # so its report holds each query's drop cost.
+            costs = outcome.report.per_query
+            remaining.sort(key=lambda q: (costs[q.id][1], q.id))
             remaining = remaining[drop:]
     store = {tid: tuple(sorted(copies)) for tid, copies in replica_sets.items()}
     return site_queries(store, w)

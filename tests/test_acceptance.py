@@ -18,7 +18,6 @@ from placer.oracle import optimal_gdp, optimal_partition, optimal_placement
 from placer.partition import export_graph, parse_graph, partition, recompute_cut
 from placer.pipeline import balance_sweep, plan_workload
 from placer.reduction import (
-    PartitionAssignment,
     build_dp_graph,
     build_gdp_graph,
     contract_infinite_edges,
@@ -91,7 +90,7 @@ def test_criterion_3_gdp_worked_example():
 
     d = parse_gdp(GDP_EXAMPLE_DOC)
     g = build_gdp_graph(d)
-    assignment = PartitionAssignment(GDP_EXAMPLE_PARTS)
+    assignment = GDP_EXAMPLE_PARTS
     cut = recompute_cut(g, assignment)
     placement = decode_gdp(assignment, d)
     cost = gdp_cost(placement, d).total_cost
@@ -109,10 +108,10 @@ def test_criterion_4_fig2_golden():
     w = parse_workload(FIG2_DOC)
     oracle = optimal_placement(w)
     planned = plan_workload(w)
-    pictured = PartitionAssignment({
+    pictured = {
         "t:T1": 0, "t:T2": 0, "t:T4": 1, "t:T5": 1, "t:T3": 2, "t:T6": 2,
         "q:Q1": 1, "q:Q2": 2, "q:Q3": 0, "q:Q4": 1,
-    })
+    }
     sites = decode_dp(pictured, w).compute
     sites_ok = sites == {"Q1": 1, "Q2": 2, "Q3": 0, "Q4": 1}
     check(

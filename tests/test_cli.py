@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -495,19 +496,24 @@ def test_export_ip_rejects_replication_for_other_models(capsys, tmp_path, fig2_f
     assert not (tmp_path / "x.lp").exists()
 
 
-LOAD_NOTE = "note: servers declare load_capacity, which is ignored without --load"
+LOAD_NOTE = "note: servers declare load_capacity, which "
+WITHOUT_LOAD = "is ignored without --load"
 
 
-@pytest.mark.parametrize("argv, noted", [
-    (["plan", "W", "--out", "OUT"], True),
-    (["plan", "W", "--load", "--out", "OUT"], False),
-    (["plan", "W", "--min-max-ratio", "0.5", "--out", "OUT"], False),
-    (["export-graph", "W", "--out", "OUT"], True),
-    (["export-graph", "W", "--load", "--out", "OUT"], False),
-    (["import-partition", "W", "PARTITION", "--out", "OUT"], True),
-    (["import-partition", "W", "PARTITION", "--load", "--out", "OUT"], False),
+@pytest.mark.parametrize("argv, clause", [
+    (["plan", "W", "--out", "OUT"], WITHOUT_LOAD),
+    (["plan", "W", "--load", "--out", "OUT"], None),
+    (["plan", "W", "--min-max-ratio", "0.5", "--out", "OUT"], None),
+    (["export-graph", "W", "--out", "OUT"], WITHOUT_LOAD),
+    (["export-graph", "W", "--load", "--out", "OUT"], None),
+    (["import-partition", "W", "PARTITION", "--out", "OUT"], WITHOUT_LOAD),
+    (["import-partition", "W", "PARTITION", "--load", "--out", "OUT"], None),
+    (["oracle", "W", "--out", "OUT"],
+     "oracle ignores: its optimum respects storage capacities only"),
+    (["replicate", "W", "--replication", "2", "--out", "OUT"],
+     "replicate ignores: neither heuristic balances load"),
 ])
-def test_ignored_load_capacity_is_noted(capsys, tmp_path, argv, noted):
+def test_ignored_load_capacity_is_noted(capsys, tmp_path, argv, clause):
     doc = json.loads(FIG2_DOC)
     for server in doc["servers"]:
         server["load_capacity"] = 100
@@ -518,7 +524,8 @@ def test_ignored_load_capacity_is_noted(capsys, tmp_path, argv, noted):
     files = {"W": path, "PARTITION": partition, "OUT": tmp_path / "out"}
     code, _, err = run(capsys, *(files.get(a, a) for a in argv))
     assert code in (0, 2)
-    assert err.splitlines().count(LOAD_NOTE) == noted
+    notes = [line for line in err.splitlines() if line.startswith(LOAD_NOTE)]
+    assert notes == ([] if clause is None else [LOAD_NOTE + clause])
 
 
 def test_cost_without_compute_section_charges_cheapest_server(capsys, tmp_path,
@@ -557,6 +564,21 @@ def test_replicate_rejects_view_dag(capsys, tmp_path, gdp_file):
     assert code == 1 and out == ""
     assert err == "error: replicate needs a plain workload\n"
     assert not (tmp_path / "p.json").exists()
+
+
+def test_replicate_seed_applies_to_heuristic_1_only(capsys, tmp_path, fig2_file):
+    out_path = tmp_path / "p.json"
+    code, out, err = run(capsys, "replicate", fig2_file, "--replication", "2",
+                         "--seed", "5", "--out", out_path)
+    assert code == 1 and out == ""
+    assert err == "error: --seed applies to --heuristic 1 only\n"
+    assert not out_path.exists()
+    _, out, _ = run(capsys, "replicate", fig2_file, "--replication", "2", "--out", out_path)
+    assert "rng seed" not in out
+    for seed_argv, seed in (((), 0), (("--seed", "5"), 5)):
+        _, out, _ = run(capsys, "replicate", fig2_file, "--replication", "2",
+                        "--heuristic", "1", *seed_argv, "--out", out_path)
+        assert f"\nrng seed: {seed}\n" in out
 
 
 def test_document_mixing_views_and_tables_rejected(capsys, tmp_path):
@@ -746,6 +768,19 @@ def test_plan_rejects_bad_arguments(capsys, tmp_path, fig2_file, argv, message):
     assert message in err
     assert out == ""
     assert not (tmp_path / "p.json").exists()
+
+
+def test_plan_gate_rejects_a_placement_that_misses_its_cost(capsys, tmp_path, fig2_file,
+                                                            monkeypatch):
+    # The gate re-evaluates the written file; a cost that disagrees with
+    # the plan's report exits 1 instead of reporting.
+    def disagreeing(placement, instance):
+        return replace(pipeline.cost_of(placement, instance), total_cost=-1)
+
+    monkeypatch.setattr(cli, "cost_of", disagreeing)
+    code, out, err = run(capsys, "plan", fig2_file, "--out", tmp_path / "p.json")
+    assert (code, out) == (1, "")
+    assert err == "error: emitted placement does not reproduce the reported cost\n"
 
 
 def test_help_exits_zero(capsys):

@@ -14,20 +14,19 @@ from placer.evaluate import (
 )
 from placer.partition import recompute_cut
 from placer.reduction import (
-    PartitionAssignment,
     build_dp_graph,
     build_gdp_graph,
     contract_infinite_edges,
 )
-from placer.workload import parse_workload
+from placer.workload import Workload, parse_workload
 
 from conftest import GDP_EXAMPLE_PARTS
 from helpers import random_workload
 
-FIG2_PAPER_ASSIGNMENT = PartitionAssignment({
+FIG2_PAPER_ASSIGNMENT = {
     "t:T1": 0, "t:T2": 0, "t:T4": 1, "t:T5": 1, "t:T3": 2, "t:T6": 2,
     "q:Q1": 1, "q:Q2": 2, "q:Q3": 0, "q:Q4": 1,
-})
+}
 
 
 def test_decode_fig2_paper_partition(fig2):
@@ -38,10 +37,7 @@ def test_decode_fig2_paper_partition(fig2):
 
 
 def test_decode_all_in_one_part(fig2):
-    a = PartitionAssignment(
-        {f"t:{t.id}": 0 for t in fig2.tables}
-        | {f"q:{q.id}": 0 for q in fig2.queries}
-    )
+    a = {f"t:{t.id}": 0 for t in fig2.tables} | {f"q:{q.id}": 0 for q in fig2.queries}
     placement = decode_dp(a, fig2)
     assert set(placement.compute.values()) == {0}
     report = dp_cost(placement, fig2)
@@ -57,15 +53,13 @@ def test_resited_cut_equals_cost_on_random_instances():
         w = random_workload(rng, max_tables=6, max_queries=5, max_servers=3)
         g = build_dp_graph(w)
         l = len(w.servers)
-        assignment = PartitionAssignment({
-            n.id: rng.randrange(l) for n in g.nodes
-        })
+        assignment = {n.id: rng.randrange(l) for n in g.nodes}
         placement = decode_dp(assignment, w)
         report = dp_cost(placement, w)
-        resited = PartitionAssignment({
+        resited = {
             **{f"t:{t.id}": placement.store[t.id][0] for t in w.tables},
             **{f"q:{q.id}": placement.compute[q.id] for q in w.queries},
-        })
+        }
         assert recompute_cut(g, resited) == report.total_cost
         assert recompute_cut(g, resited) <= recompute_cut(g, assignment)
 
@@ -159,7 +153,7 @@ def test_frequency_scaling_keeps_site():
 
 
 def test_decode_gdp_paper_solution(gdp_example):
-    placement = decode_gdp(PartitionAssignment(GDP_EXAMPLE_PARTS), gdp_example)
+    placement = decode_gdp(GDP_EXAMPLE_PARTS, gdp_example)
     assert placement.compute["V5"] == 0 and placement.store["V5"] == (1,)
     assert placement.compute["V6"] == 1 and placement.store["V6"] == (0,)
     report = gdp_cost(placement, gdp_example)
@@ -178,7 +172,7 @@ def test_decode_gdp_single_server():
     d = parse_gdp(doc)
     g = build_gdp_graph(d)
     cg, merge = contract_infinite_edges(g)
-    a = PartitionAssignment({n.id: 0 for n in cg.nodes})
+    a = {n.id: 0 for n in cg.nodes}
     placement = decode_gdp(a, d, merge)
     assert placement.compute["V1"] == 0
     assert placement.store["V1"] == (0,)
@@ -187,7 +181,7 @@ def test_decode_gdp_single_server():
 def test_uncut_infinite_edge_means_colocated(gdp_example):
     g = build_gdp_graph(gdp_example)
     cg, merge = contract_infinite_edges(g)
-    a = PartitionAssignment({n.id: 0 for n in cg.nodes})
+    a = {n.id: 0 for n in cg.nodes}
     placement = decode_gdp(a, gdp_example, merge)
     for vid in ("V1", "V2", "V3", "V4"):
         assert placement.compute[vid] in placement.store[vid]
@@ -204,7 +198,7 @@ def test_gdp_cost_everything_on_one_server(gdp_example):
 
 
 def test_gdp_cost_move_v6_storage(gdp_example):
-    placement = decode_gdp(PartitionAssignment(GDP_EXAMPLE_PARTS), gdp_example)
+    placement = decode_gdp(GDP_EXAMPLE_PARTS, gdp_example)
     store = dict(placement.store)
     store["V6"] = (1,)
     moved = Placement(store, placement.compute)
@@ -217,7 +211,7 @@ def test_gdp_cost_move_v6_storage(gdp_example):
 
 
 def test_gdp_cost_infinite_violation(gdp_example):
-    placement = decode_gdp(PartitionAssignment(GDP_EXAMPLE_PARTS), gdp_example)
+    placement = decode_gdp(GDP_EXAMPLE_PARTS, gdp_example)
     store = dict(placement.store)
     store["V1"] = (0,)  # V1 computes on S2 per the partition
     broken = Placement(store, placement.compute)
@@ -264,3 +258,16 @@ def test_load_report_accumulates():
 def test_unplaced_table_raises(fig2):
     with pytest.raises(ValidationError, match="not placed"):
         best_site(fig2.queries[0], Placement({}, {}), fig2)
+
+
+def test_no_servers_raises_before_any_reference(fig2):
+    w = Workload(fig2.tables, fig2.queries, ())
+    with pytest.raises(ValidationError, match="workload has no servers"):
+        best_site(fig2.queries[0], Placement({}, {}), w)
+
+
+def test_decode_without_resite_needs_every_query_node(fig2):
+    partial = {n: k for n, k in FIG2_PAPER_ASSIGNMENT.items() if n != "q:Q3"}
+    assert decode_dp(partial, fig2).compute["Q3"] == 0
+    with pytest.raises(ValidationError, match="assignment does not cover node 'q:Q3'"):
+        decode_dp(partial, fig2, resite=False)

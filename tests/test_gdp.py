@@ -127,6 +127,17 @@ def test_round_trip_keeps_exec_cost():
     assert parse_gdp(text) == d
 
 
+def test_round_trip_keeps_load_capacity():
+    d = parse_gdp(json.dumps({
+        "views": [{"id": "V1", "class": "base_table", "size": 2}],
+        "arcs": [],
+        "servers": [{"id": "S1", "storage_capacity": 2, "load_capacity": 5}],
+    }))
+    text = serialize_gdp(d)
+    assert '"load_capacity": 5' in text
+    assert parse_gdp(text) == d
+
+
 @pytest.mark.parametrize("views, arcs", [
     # Sizes, arc costs and finite transfer costs share one total.
     ([{"id": "V1", "class": "base_table", "size": 2**62},

@@ -57,7 +57,7 @@ def _plan_record(outcome) -> str:
     p = outcome.partition
     return repr((
         p.cut_weight,
-        sorted(p.assignment.part_of.items()),
+        sorted(p.assignment.items()),
         p.per_part_loads,
         p.violations,
         p.slack,

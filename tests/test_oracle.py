@@ -18,12 +18,11 @@ from placer.reduction import (
     GraphEdge,
     GraphNode,
     PartGraph,
-    PartitionAssignment,
     build_dp_graph,
     build_gdp_graph,
     contract_infinite_edges,
 )
-from placer.workload import parse_workload
+from placer.workload import Table, Workload, parse_workload
 
 from helpers import (
     brute_force_gdp_cost,
@@ -78,8 +77,11 @@ def test_no_servers(limit):
         assert result == OracleResult(None, None, True, False)
     assert optimal_gdp(ViewDag((), (), ()), limit) == OracleResult(
         Placement({}, {}), 0, True, True)
-    assert optimal_partition(PartGraph((), (), ()), limit) == OracleResult(
-        PartitionAssignment({}), 0, True, True)
+    assert optimal_partition(PartGraph((), (), ()), limit) == OracleResult({}, 0, True, True)
+    assert optimal_placement(Workload((Table("T1", 1),), (), ()), limit) == OracleResult(
+        None, None, True, False)
+    assert optimal_placement(Workload((), (), ()), limit) == OracleResult(
+        Placement({}, {}), 0, True, True)
 
 
 def test_budget_exhaustion_flags_incomplete(fig2):
@@ -100,7 +102,7 @@ def test_partition_budget_exhaustion_keeps_first_leaf(fig2):
     result = optimal_partition(g, OracleLimit(1))
     assert not result.complete and result.feasible
     assert result.cost > optimal_partition(g).cost
-    assert set(result.solution.part_of) == {n.id for n in g.nodes}
+    assert set(result.solution) == {n.id for n in g.nodes}
 
 
 # One sha256 over (solution, cost, complete, feasible) of all three
@@ -113,8 +115,8 @@ def _oracle_record(result) -> str:
     sol = result.solution
     if sol is None:
         key = None
-    elif hasattr(sol, "part_of"):
-        key = sorted(sol.part_of.items())
+    elif isinstance(sol, dict):
+        key = sorted(sol.items())
     else:
         key = (sorted(sol.store.items()), sorted(sol.compute.items()))
     return repr((key, result.cost, result.complete, result.feasible))

@@ -20,7 +20,6 @@ from placer.reduction import (
     GraphEdge,
     GraphNode,
     PartGraph,
-    PartitionAssignment,
     build_dp_graph,
 )
 
@@ -51,6 +50,8 @@ def test_config_validation():
         PartitionConfig(slack_factors=(Fraction(0), Fraction(0)))
     with pytest.raises(ValidationError, match="seeds must be distinct"):
         PartitionConfig(seeds=(1, 1))
+    with pytest.raises(ValidationError, match="seeds must be nonempty"):
+        PartitionConfig(seeds=())
 
 
 def test_fig2_matches_bruteforce_optimum(fig2):
@@ -66,7 +67,7 @@ def test_single_part_zero_cut(fig2):
     g = PartGraph(g.nodes, g.edges, ((100,),))
     result = partition(g)
     assert result.cut_weight == 0
-    assert set(result.assignment.part_of.values()) == {0}
+    assert set(result.assignment.values()) == {0}
 
 
 def test_two_isolated_nodes_two_unit_parts():
@@ -74,7 +75,7 @@ def test_two_isolated_nodes_two_unit_parts():
     result = partition(g)
     assert result.cut_weight == 0
     assert not result.violations
-    assert sorted(result.assignment.part_of.values()) == [0, 1]
+    assert sorted(result.assignment.values()) == [0, 1]
 
 
 def test_isolated_nodes_stop_coarsening():
@@ -124,7 +125,7 @@ def test_graph_contract_checked_by_every_entry(g, message):
 
 def test_infinite_edges_pass_the_contract_check():
     g = PartGraph(PAIR, (GraphEdge("a", "b", INFINITE),), ((2,), (2,)))
-    assert import_partition("0\n1\n", g).part_of == {"a": 0, "b": 1}
+    assert import_partition("0\n1\n", g) == {"a": 0, "b": 1}
 
 
 @pytest.mark.parametrize("text, message", [
@@ -167,7 +168,7 @@ def test_determinism(fig2):
 def test_empty_graph():
     result = partition(PartGraph((), (), ((3,), (3,))))
     assert result.cut_weight == 0
-    assert result.assignment.part_of == {}
+    assert result.assignment == {}
 
 
 def test_capacities_respected_when_feasible():
@@ -289,10 +290,10 @@ def test_v_cycle_never_raises_the_key(monkeypatch):
             m.setattr(P, "V_CYCLES", 0)
             sweep = partition(g, cfg)
         result = partition(g, cfg)
-        part = [sweep.assignment.part_of[i] for i in ids]
+        part = [sweep.assignment[i] for i in ids]
         before = key(sweep.per_part_loads, part, mesh, caps)
         assert before[0] == (capacity is not None)
-        after = key(result.per_part_loads, [result.assignment.part_of[i] for i in ids],
+        after = key(result.per_part_loads, [result.assignment[i] for i in ids],
                     mesh, caps)
         assert after <= before
         for cycle in range(P.V_CYCLES):
@@ -542,7 +543,7 @@ def test_graph_that_does_not_coarsen_runs_no_v_cycle():
     assert len(g.nodes) <= COARSEN_FLOOR
     assert (result.v_cycles_run, result.v_cycles_improved) == (0, 0)
     assert (result.cut_weight, result.slack, result.seed) == (576, Fraction(2, 9), 0)
-    part_of = result.assignment.part_of
+    part_of = result.assignment
     assert "".join(str(part_of[i]) for i in sorted(part_of)) == (
         "2101300010023201313202211121011303232023")
 
@@ -601,7 +602,7 @@ def test_recompute_cut_gdp_paper_partition(gdp_example):
     from placer.reduction import build_gdp_graph
 
     g = build_gdp_graph(gdp_example)
-    cut = recompute_cut(g, PartitionAssignment(GDP_EXAMPLE_PARTS))
+    cut = recompute_cut(g, GDP_EXAMPLE_PARTS)
     assert cut == 46  # 8+5+5+4+10+7+7
 
 
@@ -609,10 +610,10 @@ def test_recompute_cut_trivial_cases():
     g = PartGraph(
         (node("a", 1), node("b", 1)), (GraphEdge("a", "b", 9),), ((2,), (2,))
     )
-    assert recompute_cut(g, PartitionAssignment({"a": 0, "b": 0})) == 0
-    assert recompute_cut(g, PartitionAssignment({"a": 0, "b": 1})) == 9
+    assert recompute_cut(g, {"a": 0, "b": 0}) == 0
+    assert recompute_cut(g, {"a": 0, "b": 1}) == 9
     with pytest.raises(ValidationError):
-        recompute_cut(g, PartitionAssignment({"a": 0}))
+        recompute_cut(g, {"a": 0})
 
 
 def test_recompute_cut_infinite():
@@ -621,7 +622,7 @@ def test_recompute_cut_infinite():
         (GraphEdge("a", "b", INFINITE),),
         ((2,), (2,)),
     )
-    assert recompute_cut(g, PartitionAssignment({"a": 0, "b": 1})) == INFINITE
+    assert recompute_cut(g, {"a": 0, "b": 1}) == INFINITE
 
 
 def test_export_two_nodes():
@@ -658,7 +659,7 @@ def test_export_rejects_infinite_edges():
 def test_import_partition_round():
     g = PartGraph((node("a", 1), node("b", 1), node("c", 1)), (), ((2,), (2,)))
     a = import_partition("0\n0\n1\n", g)
-    assert a.part_of == {"a": 0, "b": 0, "c": 1}
+    assert a == {"a": 0, "b": 0, "c": 1}
 
 
 def test_import_partition_errors():
@@ -693,7 +694,7 @@ def test_graph_file_round_trip(fig2):
 
 def test_balance_ratio():
     base = dict(
-        assignment=PartitionAssignment({}),
+        assignment={},
         cut_weight=0,
         violations=(),
         slack=Fraction(0),

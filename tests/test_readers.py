@@ -192,6 +192,12 @@ GDP_DUPLICATE_VIEW = {
     "arcs": [],
     "servers": ONE_SERVER,
 }
+GDP_DUPLICATE_ARC = {
+    "views": [{"id": "A", "class": "base_table", "size": 1}, {"id": "Q", "class": "query"}],
+    "arcs": [{"consumer": "Q", "producer": "A", "cost": 1},
+             {"consumer": "Q", "producer": "A", "cost": 2}],
+    "servers": ONE_SERVER,
+}
 GDP_DUPLICATE_SERVER = {
     "views": [{"id": "a", "class": "base_table", "size": 1}],
     "arcs": [],
@@ -232,6 +238,7 @@ def run_cli(*argv) -> tuple[int, str]:
     (GDP_CYCLE, "error: cycle detected: 'a' -> 'b' -> ... (2 views)"),
     (GDP_DUPLICATE_VIEW, "error: duplicate view id: 'a'"),
     (GDP_DUPLICATE_SERVER, "error: duplicate server id: 'S1'"),
+    (GDP_DUPLICATE_ARC, "error: duplicate arc 'Q'->'A'"),
 ])
 def test_gdp_document_errors_name_the_fault(fig2_path, doc, message):
     path = fig2_path.with_name("faulty.gdp.json")
@@ -456,6 +463,12 @@ SERVERS = [{"id": "S1", "storage_capacity": 4}]
     pytest.param({"tables": [{"id": "T", "size": 1}], "queries": [{"id": "Q", "refs": [1]}],
                   "servers": SERVERS},
                  "refs of query 'Q' must be objects", id="ref-not-an-object"),
+    pytest.param({"tables": [{"id": "T", "size": 1}], "queries": [{"id": "Q", "refs": []}],
+                  "servers": SERVERS},
+                 "query 'Q' must have a nonempty 'refs' list", id="empty-refs"),
+    pytest.param({"tables": [{"id": "T", "size": 1}], "queries": [{"id": "Q"}],
+                  "servers": SERVERS},
+                 "query 'Q' must have a nonempty 'refs' list", id="no-refs"),
     pytest.param({"views": [{"id": "B", "class": "base_table"}], "servers": SERVERS},
                  "base table 'B' needs a size", id="base-table-without-size"),
     pytest.param({"views": [{"id": "Q", "class": "query", "size": 1}], "servers": SERVERS},

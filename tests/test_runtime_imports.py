@@ -32,3 +32,25 @@ def test_runtime_imports_only_the_standard_library():
         outside = {m for m in modules if m != "placer" and m not in sys.stdlib_module_names}
         assert not outside, f"{path.name} imports {sorted(outside)}"
         assert not modules & BANNED, f"{path.name} imports {sorted(modules & BANNED)}"
+
+
+def unused_imports(path: Path) -> set[str]:
+    """The names that `path` imports, at module level or inside a
+    function, and never reads; `__future__` imports are directives."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used
+
+
+def test_every_import_is_used():
+    # The package's __init__ imports to re-export.
+    sources = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert sources
+    for path in sources:
+        assert not unused_imports(path), f"{path.name} never uses {sorted(unused_imports(path))}"
